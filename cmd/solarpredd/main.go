@@ -182,7 +182,7 @@ func run(o options) error {
 
 	// Graceful shutdown: reject new requests (503 outside /healthz),
 	// stop accepting connections, wait for in-flight requests, then
-	// drain the batch loop.
+	// drain the batcher.
 	log.Printf("solarpredd: signal received, draining (timeout %s)", o.drainTimeout)
 	svc.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)

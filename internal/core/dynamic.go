@@ -5,34 +5,6 @@ import (
 	"math"
 )
 
-// DynamicMode selects which parameters the clairvoyant dynamic study of
-// the paper's Section IV-C is allowed to adapt at every prediction.
-type DynamicMode int
-
-// Dynamic adaptation modes, matching the columns of the paper's Table V.
-const (
-	// DynamicAlphaK adapts both α and K per prediction ("K+α" column).
-	DynamicAlphaK DynamicMode = iota
-	// DynamicKOnly adapts K at a fixed α ("K only" column).
-	DynamicKOnly
-	// DynamicAlphaOnly adapts α at a fixed K ("α only" column).
-	DynamicAlphaOnly
-)
-
-// String names the mode as in the paper's Table V headings.
-func (m DynamicMode) String() string {
-	switch m {
-	case DynamicAlphaK:
-		return "K+alpha"
-	case DynamicKOnly:
-		return "K only"
-	case DynamicAlphaOnly:
-		return "alpha only"
-	default:
-		return fmt.Sprintf("DynamicMode(%d)", int(m))
-	}
-}
-
 // DynamicGrid is the candidate set the clairvoyant selector chooses from.
 // The paper uses 0 ≤ α ≤ 1 in steps of 0.1 and 1 ≤ K ≤ 6.
 type DynamicGrid struct {
@@ -65,50 +37,4 @@ func (g DynamicGrid) Validate() error {
 		}
 	}
 	return nil
-}
-
-// DynamicChoice records the clairvoyant pick at one prediction point.
-type DynamicChoice struct {
-	Alpha      float64
-	K          int
-	Prediction float64
-	AbsError   float64
-}
-
-// BestPrediction evaluates the predictor's Eq. 1 for every candidate in
-// the grid permitted by mode (with fixedAlpha/fixedK pinning the
-// non-adapted parameter) and returns the choice minimising |target − ê|.
-// This is the clairvoyant oracle of Table V: it needs the target (the
-// future slot's actual value), so it bounds what any dynamic parameter
-// selection algorithm could achieve.
-func BestPrediction(p *Predictor, grid DynamicGrid, mode DynamicMode, fixedAlpha float64, fixedK int, target float64) (DynamicChoice, error) {
-	if err := grid.Validate(); err != nil {
-		return DynamicChoice{}, err
-	}
-	alphas := grid.Alphas
-	ks := grid.Ks
-	switch mode {
-	case DynamicAlphaK:
-		// full grid
-	case DynamicKOnly:
-		alphas = []float64{fixedAlpha}
-	case DynamicAlphaOnly:
-		ks = []int{fixedK}
-	default:
-		return DynamicChoice{}, fmt.Errorf("core: unknown dynamic mode %d", mode)
-	}
-	best := DynamicChoice{AbsError: math.Inf(1)}
-	for _, k := range ks {
-		pers, cond, err := p.Terms(k)
-		if err != nil {
-			return DynamicChoice{}, err
-		}
-		for _, a := range alphas {
-			pred := Combine(a, pers, cond)
-			if e := math.Abs(target - pred); e < best.AbsError {
-				best = DynamicChoice{Alpha: a, K: k, Prediction: pred, AbsError: e}
-			}
-		}
-	}
-	return best, nil
 }

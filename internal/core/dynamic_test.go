@@ -1,21 +1,6 @@
 package core
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
-
-func TestDynamicModeString(t *testing.T) {
-	if DynamicAlphaK.String() != "K+alpha" ||
-		DynamicKOnly.String() != "K only" ||
-		DynamicAlphaOnly.String() != "alpha only" {
-		t.Error("mode names mismatch")
-	}
-	if DynamicMode(9).String() != "DynamicMode(9)" {
-		t.Error("unknown mode formatting")
-	}
-}
+import "testing"
 
 func TestDefaultDynamicGrid(t *testing.T) {
 	g := DefaultDynamicGrid()
@@ -43,118 +28,5 @@ func TestDynamicGridValidate(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("bad grid %d accepted", i)
 		}
-	}
-}
-
-// dynPredictor builds a predictor with a few days of varied history.
-func dynPredictor(t *testing.T) *Predictor {
-	t.Helper()
-	p := mustNew(t, 8, Params{Alpha: 0.5, D: 4, K: 2})
-	rng := rand.New(rand.NewSource(21))
-	for d := 0; d < 5; d++ {
-		for j := 0; j < 8; j++ {
-			if err := p.Observe(j, 100+rng.Float64()*200); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := p.Observe(0, 150); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Observe(1, 180); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestBestPredictionBeatsEveryFixedChoice(t *testing.T) {
-	p := dynPredictor(t)
-	grid := DefaultDynamicGrid()
-	const target = 210.0
-	best, err := BestPrediction(p, grid, DynamicAlphaK, 0, 0, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range grid.Ks {
-		for _, a := range grid.Alphas {
-			pred, err := p.PredictWith(a, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e := math.Abs(target - pred); e < best.AbsError-1e-12 {
-				t.Fatalf("fixed (α=%.1f,K=%d) error %.6f beats 'best' %.6f", a, k, e, best.AbsError)
-			}
-		}
-	}
-	// The reported prediction must be consistent with the chosen params.
-	pred, err := p.PredictWith(best.Alpha, best.K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pred-best.Prediction) > 1e-12 {
-		t.Errorf("choice prediction mismatch: %v vs %v", pred, best.Prediction)
-	}
-}
-
-func TestBestPredictionModesRestrictSearch(t *testing.T) {
-	p := dynPredictor(t)
-	grid := DefaultDynamicGrid()
-	const target = 140.0
-
-	kOnly, err := BestPrediction(p, grid, DynamicKOnly, 0.3, 0, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kOnly.Alpha != 0.3 {
-		t.Errorf("K-only mode changed alpha to %v", kOnly.Alpha)
-	}
-
-	aOnly, err := BestPrediction(p, grid, DynamicAlphaOnly, 0, 4, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aOnly.K != 4 {
-		t.Errorf("alpha-only mode changed K to %v", aOnly.K)
-	}
-
-	both, err := BestPrediction(p, grid, DynamicAlphaK, 0, 0, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full adaptation can never be worse than either restriction.
-	if both.AbsError > kOnly.AbsError+1e-12 || both.AbsError > aOnly.AbsError+1e-12 {
-		t.Errorf("K+α (%.6f) worse than restricted modes (%.6f, %.6f)",
-			both.AbsError, kOnly.AbsError, aOnly.AbsError)
-	}
-}
-
-func TestBestPredictionErrors(t *testing.T) {
-	p := dynPredictor(t)
-	if _, err := BestPrediction(p, DynamicGrid{}, DynamicAlphaK, 0, 0, 1); err == nil {
-		t.Error("empty grid accepted")
-	}
-	if _, err := BestPrediction(p, DefaultDynamicGrid(), DynamicMode(42), 0, 0, 1); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	fresh := mustNew(t, 8, Params{Alpha: 0.5, D: 2, K: 1})
-	if _, err := BestPrediction(fresh, DefaultDynamicGrid(), DynamicAlphaK, 0, 0, 1); err == nil {
-		t.Error("predictor without observations accepted")
-	}
-}
-
-func TestBestPredictionExactTargetAchievable(t *testing.T) {
-	// If the target equals the persistence value, α=1 should achieve zero
-	// error and be selected (or tied at zero).
-	p := dynPredictor(t)
-	pers, _, err := p.Terms(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := BestPrediction(p, DefaultDynamicGrid(), DynamicAlphaK, 0, 0, pers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.AbsError > 1e-9 {
-		t.Errorf("achievable target missed: err %.9f", best.AbsError)
 	}
 }

@@ -43,7 +43,6 @@ import (
 
 	"solarpred/internal/core"
 	"solarpred/internal/metrics"
-	"solarpred/internal/stats"
 	"solarpred/internal/timeseries"
 )
 
@@ -182,8 +181,8 @@ func NewEval(view *timeseries.SlotView, opts ...Option) (*Eval, error) {
 	}
 	e := &Eval{
 		view:        view,
-		peakMean:    stats.MaxOrZero(view.Mean),
-		peakStart:   stats.MaxOrZero(view.Start),
+		peakMean:    view.PeakMean(),
+		peakStart:   view.PeakStart(),
 		warmupDays:  metrics.DefaultWarmupDays,
 		roiFraction: metrics.DefaultROIFraction,
 		etaMax:      core.EtaMax,

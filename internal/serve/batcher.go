@@ -41,80 +41,51 @@ type Stages struct {
 	Coalesced bool
 }
 
-// batchItem is one request travelling through the batch loop, carrying
-// its own response channel (buffered so fan-out never blocks on an
-// abandoned caller).
-type batchItem struct {
-	key      string
-	compute  func(context.Context) (any, error)
-	resp     chan batchResult
-	enqueued time.Time
-}
-
-// batchResult is what fans out to every waiter of a flight.
-type batchResult struct {
-	val    any
-	err    error
-	stages Stages
-}
-
-// completion is the message a compute goroutine sends back to the loop.
-type completion struct {
-	key        string
+// call is one in-flight computation for a key. The computing goroutine
+// writes val, err, dispatched and finished before closing done, so
+// waiters read them without the lock once done is closed. waiters and
+// the map entry are guarded by Batcher.mu.
+type call struct {
+	done       chan struct{}
 	val        any
 	err        error
 	dispatched time.Time
-}
-
-// abandonment is the message a Submit whose context expired sends back
-// to the loop so the flight can drop (and possibly cancel) the waiter.
-type abandonment struct {
-	key  string
-	item *batchItem
-}
-
-// flightGroup is the loop's bookkeeping for one in-flight key: every
-// item waiting on it, in arrival order (waiters[0] initiated it), and
-// the cancel handle of the computation's context.
-type flightGroup struct {
-	waiters []*batchItem
-	cancel  context.CancelFunc
+	finished   time.Time
+	waiters    int
+	cancel     context.CancelFunc
 }
 
 // Batcher coalesces concurrent requests for the same key into one
-// computation. A single batch loop owns the key → flight map: items
-// arrive over a channel; the first item for a key dispatches its compute
-// on a bounded worker pool, later items for the same key pile onto the
-// flight's waiter list; when the computation completes, the loop fans the
-// result out to every waiter's response channel. The loop alone touches
-// the map, so there is no lock on the admission path.
+// computation. A key → call map guarded by one mutex holds the flights:
+// the first Submit for a key starts its computation on a pool bounded by
+// a semaphore, later Submits for the same key join it and wait on the
+// same done channel. The key is forgotten as soon as the computation
+// finishes — a failed or panicked flight is answered to every waiter and
+// a retry recomputes; memoisation is the store's job, not the batcher's.
 //
 // Each flight's computation receives a context that is cancelled once
-// every waiter has abandoned the flight (their request contexts expired)
-// — an abandoned computation stops burning a pool slot instead of
-// running to completion for nobody. A computation that panics answers
-// its waiters with a *PanicError and is evicted like any failed flight;
-// the pool slot is released and the loop survives.
+// its last waiter has abandoned it (their request contexts expired), so
+// an abandoned computation stops burning a pool slot instead of running
+// to completion for nobody. A computation that panics answers its
+// waiters with a *PanicError and the pool slot is released.
 //
 // The batcher sits in front of the store deliberately: expstore's own
 // single flight already deduplicates concurrent computations, but the
 // batcher bounds how many store computations run at once (the store
-// admits unlimited distinct keys), stamps every request's queue and
-// compute stages for the endpoint metrics, and gives shutdown a single
-// place to drain — Close stops admissions and blocks until every
-// in-flight computation has answered its waiters.
+// admits unlimited distinct keys), makes them cancellable, stamps every
+// request's queue and compute stages for the endpoint metrics, and gives
+// shutdown a single place to drain — Close stops admissions and blocks
+// until every in-flight computation has answered its waiters.
 type Batcher struct {
-	items       chan *batchItem
-	completions chan completion
-	abandons    chan abandonment
-	quit        chan struct{}
-	stopped     chan struct{}
-	sem         chan struct{}
-	closeOnce   sync.Once
+	sem     chan struct{}
+	flights sync.WaitGroup
+
+	mu      sync.Mutex
+	calls   map[string]*call
+	closing bool
 
 	computations atomic.Uint64
 	coalesced    atomic.Uint64
-	inFlight     atomic.Int64
 	panics       atomic.Uint64
 	abandoned    atomic.Uint64
 }
@@ -136,19 +107,13 @@ type BatcherStats struct {
 	Abandoned uint64 `json:"abandoned"`
 }
 
-// NewBatcher starts a batch loop whose compute pool runs at most workers
+// NewBatcher returns a batcher whose compute pool runs at most workers
 // computations concurrently (workers must be ≥ 1). Stop it with Close.
 func NewBatcher(workers int) *Batcher {
-	b := &Batcher{
-		items:       make(chan *batchItem),
-		completions: make(chan completion),
-		abandons:    make(chan abandonment),
-		quit:        make(chan struct{}),
-		stopped:     make(chan struct{}),
-		sem:         make(chan struct{}, workers),
+	return &Batcher{
+		sem:   make(chan struct{}, workers),
+		calls: make(map[string]*call),
 	}
-	go b.loop()
-	return b
 }
 
 // Submit runs compute under the batcher's coalescing semantics and
@@ -159,31 +124,43 @@ func NewBatcher(workers int) *Batcher {
 // way, the computation's context is cancelled and the flight counts as
 // abandoned.
 func (b *Batcher) Submit(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, Stages, error) {
-	it := &batchItem{
-		key:      key,
-		compute:  compute,
-		resp:     make(chan batchResult, 1),
-		enqueued: time.Now(),
-	}
-	select {
-	case b.items <- it:
-	case <-b.quit:
+	enqueued := time.Now()
+	b.mu.Lock()
+	if b.closing {
+		b.mu.Unlock()
 		return nil, Stages{}, ErrDraining
-	case <-ctx.Done():
-		return nil, Stages{}, ctx.Err()
 	}
+	if err := ctx.Err(); err != nil {
+		b.mu.Unlock()
+		return nil, Stages{}, err
+	}
+	c, joined := b.calls[key]
+	if joined {
+		c.waiters++
+		b.coalesced.Add(1)
+	} else {
+		fctx, cancel := context.WithCancel(context.Background())
+		c = &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
+		b.calls[key] = c
+		b.computations.Add(1)
+		b.flights.Add(1)
+		go b.run(fctx, key, c, compute)
+	}
+	b.mu.Unlock()
+
 	select {
-	case r := <-it.resp:
-		return r.val, r.stages, r.err
+	case <-c.done:
+		return c.val, Stages{Enqueued: enqueued, Dispatched: c.dispatched, Done: c.finished, Coalesced: joined}, c.err
 	case <-ctx.Done():
-		// Tell the loop this waiter is gone so an all-abandoned flight
-		// can be cancelled. The loop drains abandons until it exits; if
-		// it has already exited every flight has answered, so the result
-		// is sitting in it.resp and nothing is left to cancel.
-		select {
-		case b.abandons <- abandonment{key: it.key, item: it}:
-		case <-b.stopped:
+		b.mu.Lock()
+		c.waiters--
+		// A flight that already left the map has answered; there is
+		// nothing left to cancel.
+		if c.waiters == 0 && b.calls[key] == c {
+			b.abandoned.Add(1)
+			c.cancel()
 		}
+		b.mu.Unlock()
 		return nil, Stages{}, ctx.Err()
 	}
 }
@@ -191,73 +168,41 @@ func (b *Batcher) Submit(ctx context.Context, key string, compute func(context.C
 // Close stops admitting new work and blocks until every in-flight
 // computation has completed and answered its waiters. It is idempotent.
 func (b *Batcher) Close() {
-	b.closeOnce.Do(func() { close(b.quit) })
-	<-b.stopped
+	b.mu.Lock()
+	b.closing = true
+	b.mu.Unlock()
+	b.flights.Wait()
 }
 
 // Stats snapshots the batcher's counters.
 func (b *Batcher) Stats() BatcherStats {
+	b.mu.Lock()
+	inFlight := len(b.calls)
+	b.mu.Unlock()
 	return BatcherStats{
 		Computations: b.computations.Load(),
 		Coalesced:    b.coalesced.Load(),
-		InFlight:     b.inFlight.Load(),
+		InFlight:     int64(inFlight),
 		Panics:       b.panics.Load(),
 		Abandoned:    b.abandoned.Load(),
 	}
 }
 
-// loop is the batch loop: sole owner of the flight map.
-func (b *Batcher) loop() {
-	flights := make(map[string]*flightGroup)
-	draining := false
-	for {
-		if draining {
-			if len(flights) == 0 {
-				close(b.stopped)
-				return
-			}
-			// Admissions are closed; completions finish the remaining
-			// flights, and abandons must still be served or a timed-out
-			// waiter would block against an unread channel.
-			select {
-			case c := <-b.completions:
-				b.finish(flights, c)
-			case a := <-b.abandons:
-				b.abandon(flights, a)
-			}
-			continue
-		}
-		select {
-		case <-b.quit:
-			draining = true
-		case it := <-b.items:
-			if g, ok := flights[it.key]; ok {
-				g.waiters = append(g.waiters, it)
-				b.coalesced.Add(1)
-				continue
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			flights[it.key] = &flightGroup{waiters: []*batchItem{it}, cancel: cancel}
-			b.computations.Add(1)
-			b.inFlight.Add(1)
-			go b.run(ctx, it.key, it.compute)
-		case c := <-b.completions:
-			b.finish(flights, c)
-		case a := <-b.abandons:
-			b.abandon(flights, a)
-		}
-	}
-}
-
-// run executes one flight's computation on the bounded pool and reports
-// back to the loop. A panic inside compute is contained here: the slot
-// is released by the deferred receive and the waiters get a *PanicError.
-func (b *Batcher) run(ctx context.Context, key string, compute func(context.Context) (any, error)) {
+// run executes one flight's computation on the bounded pool, forgets the
+// key and answers every waiter. A panic inside compute is contained by
+// safeCompute, so the slot is always released.
+func (b *Batcher) run(ctx context.Context, key string, c *call, compute func(context.Context) (any, error)) {
+	defer b.flights.Done()
 	b.sem <- struct{}{}
-	dispatched := time.Now()
-	val, err := b.safeCompute(ctx, compute)
+	c.dispatched = time.Now()
+	c.val, c.err = b.safeCompute(ctx, compute)
 	<-b.sem
-	b.completions <- completion{key: key, val: val, err: err, dispatched: dispatched}
+	b.mu.Lock()
+	delete(b.calls, key)
+	b.mu.Unlock()
+	c.cancel()
+	c.finished = time.Now()
+	close(c.done)
 }
 
 // safeCompute runs compute, converting a panic into a *PanicError.
@@ -270,47 +215,4 @@ func (b *Batcher) safeCompute(ctx context.Context, compute func(context.Context)
 		}
 	}()
 	return compute(ctx)
-}
-
-// finish fans a completed flight's result out to its waiters and
-// releases the flight's context.
-func (b *Batcher) finish(flights map[string]*flightGroup, c completion) {
-	g := flights[c.key]
-	delete(flights, c.key)
-	b.inFlight.Add(-1)
-	g.cancel()
-	done := time.Now()
-	for i, it := range g.waiters {
-		it.resp <- batchResult{
-			val: c.val,
-			err: c.err,
-			stages: Stages{
-				Enqueued:   it.enqueued,
-				Dispatched: c.dispatched,
-				Done:       done,
-				Coalesced:  i > 0,
-			},
-		}
-	}
-}
-
-// abandon removes a timed-out waiter from its flight; when the last
-// waiter leaves, the computation's context is cancelled and the flight
-// counts as abandoned (it still completes through finish — typically
-// fast, with a context error).
-func (b *Batcher) abandon(flights map[string]*flightGroup, a abandonment) {
-	g, ok := flights[a.key]
-	if !ok {
-		return // flight already finished; the result is in the item's resp
-	}
-	for i, it := range g.waiters {
-		if it == a.item {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			break
-		}
-	}
-	if len(g.waiters) == 0 {
-		b.abandoned.Add(1)
-		g.cancel()
-	}
 }

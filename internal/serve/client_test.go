@@ -207,12 +207,22 @@ func TestClientAgainstService(t *testing.T) {
 		Base:       ts.URL,
 		MaxRetries: 8,
 		sleep: func(ctx context.Context, d time.Duration) error {
-			// First shed observed: unwedge the service, then "wait".
+			// First shed observed: unwedge the service, then wait until
+			// the wedged request has answered and left the backlog, so
+			// the retry finds the admission slot free.
 			wedge.Store(false)
 			select {
 			case <-gate:
 			default:
 				close(gate)
+			}
+			select {
+			case <-released:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			for svc.backlog.Load() != 0 {
+				time.Sleep(time.Millisecond)
 			}
 			return nil
 		},

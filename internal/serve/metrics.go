@@ -41,7 +41,7 @@ func (m *endpointMetrics) end(start time.Time, failed bool) {
 }
 
 // EndpointStats is the exported snapshot of one endpoint's metrics, as
-// served by /v1/stats and recorded by cmd/benchjson.
+// served by /v1/stats.
 type EndpointStats struct {
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`

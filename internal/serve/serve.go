@@ -8,10 +8,13 @@
 //     with single-flight admission per key (shared with the experiment
 //     drivers, so a repro run and the daemon warm the same entries);
 //   - Batcher coalesces concurrent requests for the same (site, N,
-//     space, ref) tuple into one store computation, bounds how many
-//     computations run at once, stamps each request's queue/compute
-//     stages, cancels computations every waiter has abandoned, and
-//     contains panics to the flight that raised them;
+//     space, ref) tuple into one store computation: a mutex-guarded
+//     map holds one flight per in-flight key, every waiter blocks on
+//     the flight's done channel, and the key is forgotten once the
+//     result is out. A semaphore bounds how many computations run at
+//     once; each request's queue/compute stages are stamped, a
+//     computation every waiter has abandoned is cancelled, and a panic
+//     is contained to the flight that raised it;
 //   - Service owns the request semantics (guarded forecast replay,
 //     grid/tune conversion, admin reset), the per-key-class circuit
 //     breakers, the stale-forecast fallback and the per-endpoint
@@ -144,7 +147,7 @@ type Service struct {
 	stale   map[string]*ForecastResult
 }
 
-// New validates the configuration and starts the service's batch loop.
+// New validates the configuration and builds the service.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.Exp.Validate(); err != nil {
 		return nil, err
@@ -219,7 +222,7 @@ func (s *Service) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-// Close shuts the batch loop down, blocking until in-flight computations
+// Close shuts the batcher down, blocking until in-flight computations
 // have answered their waiters. Call after the HTTP server has stopped
 // accepting connections.
 func (s *Service) Close() { s.batcher.Close() }

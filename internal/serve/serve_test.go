@@ -231,6 +231,103 @@ func TestBatcherSubmitContextCancelled(t *testing.T) {
 	}
 }
 
+// TestBatcherPoolBound pins the worker bound: distinct keys never run
+// more computations at once than the pool has workers, and the pool is
+// used to its full width.
+func TestBatcherPoolBound(t *testing.T) {
+	const workers, keys = 2, 16
+	b := NewBatcher(workers)
+	defer b.Close()
+	var running, peak atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < keys; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, _, err := b.Submit(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) (any, error) {
+				n := running.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				started <- struct{}{}
+				<-release
+				running.Add(-1)
+				return i, nil
+			}); err != nil {
+				t.Errorf("submit k%d: %v", i, err)
+			}
+		}(i)
+	}
+	// Fill the pool, then free one slot per further start.
+	for i := 0; i < workers; i++ {
+		<-started
+	}
+	for i := workers; i < keys; i++ {
+		release <- struct{}{}
+		<-started
+	}
+	for i := 0; i < workers; i++ {
+		release <- struct{}{}
+	}
+	wg.Wait()
+	if p := peak.Load(); p != workers {
+		t.Fatalf("peak concurrent computations = %d, want %d", p, workers)
+	}
+	if st := b.Stats(); st.Computations != keys || st.InFlight != 0 {
+		t.Fatalf("stats = %+v, want %d computations, 0 in flight", st, keys)
+	}
+}
+
+// TestBatcherAbandonDuringDrain pins abandonment while Close waits: the
+// only waiter giving up cancels the flight, which lets Close return.
+func TestBatcherAbandonDuringDrain(t *testing.T) {
+	b := NewBatcher(1)
+	started := make(chan struct{})
+	cancelled := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	res := make(chan error, 1)
+	go func() {
+		_, _, err := b.Submit(ctx, "slow", func(fctx context.Context) (any, error) {
+			close(started)
+			<-fctx.Done()
+			close(cancelled)
+			return nil, fctx.Err()
+		})
+		res <- err
+	}()
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	// Drain has begun once the same key is refused with ErrDraining. The
+	// probe's context is already dead so it never waits on the flight.
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	for {
+		_, _, err := b.Submit(dead, "slow", func(context.Context) (any, error) { return nil, nil })
+		if errors.Is(err, ErrDraining) {
+			break
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a flight was still in progress")
+	default:
+	}
+	cancel()
+	if err := <-res; !errors.Is(err, context.Canceled) {
+		t.Fatalf("submit err = %v, want context.Canceled", err)
+	}
+	<-cancelled
+	<-closed
+	if st := b.Stats(); st.Abandoned != 1 || st.InFlight != 0 {
+		t.Fatalf("stats = %+v, want 1 abandoned, 0 in flight", st)
+	}
+}
+
 // --- Service over HTTP ------------------------------------------------------
 
 func TestServiceForecastMatchesDirectReplay(t *testing.T) {

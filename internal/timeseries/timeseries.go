@@ -15,8 +15,6 @@ package timeseries
 import (
 	"errors"
 	"fmt"
-
-	"solarpred/internal/stats"
 )
 
 // MinutesPerDay is the number of minutes in the 24-hour prediction cycle.
@@ -75,7 +73,7 @@ func (s *Series) At(d, i int) (float64, error) {
 }
 
 // Peak returns the maximum sample in the series (zero for empty series).
-func (s *Series) Peak() float64 { return stats.MaxOrZero(s.Samples) }
+func (s *Series) Peak() float64 { return maxOrZero(s.Samples) }
 
 // Clip returns a new Series containing days [from, to) of s. The sample
 // slice is shared with the receiver.
@@ -109,7 +107,7 @@ func (s *Series) Resample(resolutionMinutes int) (*Series, error) {
 	group := resolutionMinutes / s.ResolutionMinutes
 	out := make([]float64, 0, len(s.Samples)/group)
 	for i := 0; i+group <= len(s.Samples); i += group {
-		out = append(out, stats.Mean(s.Samples[i:i+group]))
+		out = append(out, mean(s.Samples[i:i+group]))
 	}
 	return &Series{ResolutionMinutes: resolutionMinutes, Samples: out}, nil
 }
@@ -193,7 +191,7 @@ func (s *Series) Slot(n int) (*SlotView, error) {
 		for j := 0; j < n; j++ {
 			seg := s.Samples[base+j*m : base+(j+1)*m]
 			v.Start[d*n+j] = seg[0]
-			v.Mean[d*n+j] = stats.Mean(seg)
+			v.Mean[d*n+j] = mean(seg)
 		}
 	}
 	v.BuildPrefix()
@@ -255,7 +253,11 @@ func (v *SlotView) SlotEnergy(d, j int) float64 {
 
 // PeakMean returns the maximum mean-slot power across the whole view.
 // The paper's region-of-interest threshold is 10% of this value.
-func (v *SlotView) PeakMean() float64 { return stats.MaxOrZero(v.Mean) }
+func (v *SlotView) PeakMean() float64 { return maxOrZero(v.Mean) }
+
+// PeakStart returns the maximum slot-start power across the whole view,
+// the peak the slot-start error reference scales its threshold by.
+func (v *SlotView) PeakStart() float64 { return maxOrZero(v.Start) }
 
 // DayStarts returns the slot-start samples of day d as a subslice.
 func (v *SlotView) DayStarts(d int) []float64 { return v.Start[d*v.N : (d+1)*v.N] }
@@ -271,3 +273,31 @@ func (v *SlotView) GlobalIndex(d, j int) int { return d*v.N + j }
 
 // Split converts a flat slot index back into (day, slot).
 func (v *SlotView) Split(t int) (day, slot int) { return t / v.N, t % v.N }
+
+// mean returns the arithmetic mean of xs, summed left to right, or zero
+// for an empty slice.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// maxOrZero returns the maximum of xs, or zero for an empty slice (an
+// empty trace means no power was ever observed).
+func maxOrZero(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}

@@ -188,6 +188,31 @@ func TestSlotViewBasics(t *testing.T) {
 	}
 }
 
+func TestPeakAndMeanHelpers(t *testing.T) {
+	if mean(nil) != 0 || maxOrZero(nil) != 0 {
+		t.Error("empty slice must give zero")
+	}
+	if got := mean([]float64{1, 2, 3, 4}); got != 2.5 {
+		t.Errorf("mean = %v", got)
+	}
+	if got := maxOrZero([]float64{-3, -1, -2}); got != -1 {
+		t.Errorf("maxOrZero = %v", got)
+	}
+	// Slot j of a one-day, 1-min trace starts at power j.
+	samples := make([]float64, 1440)
+	for i := range samples {
+		samples[i] = float64(i / 30)
+	}
+	s, _ := New(1, samples)
+	v, err := s.Slot(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.PeakStart() != 47 || v.PeakMean() != 47 {
+		t.Errorf("PeakStart = %v, PeakMean = %v, want 47", v.PeakStart(), v.PeakMean())
+	}
+}
+
 func TestSlotValidation(t *testing.T) {
 	s := mkSeries(t, 5, 1) // 288 samples/day
 	if _, err := s.Slot(0); err == nil {
