@@ -265,13 +265,20 @@ func (p *Predictor) rollDay() {
 		p.histDays++
 	}
 	p.curSlot = 0
-	days := float64(p.histDays)
-	for j := 0; j < p.n; j++ {
-		var sum float64
-		for r := 0; r < p.histDays; r++ {
-			sum += p.hist[r][j]
+	// μD row by row. Each slot's sum must add its history rows in
+	// ascending r starting from +0, which fixes every μD bit; walking
+	// whole rows keeps that order while the n running sums stay
+	// independent of each other.
+	mu := p.muTable
+	clear(mu)
+	for r := 0; r < p.histDays; r++ {
+		for j, v := range p.hist[r][:len(mu)] {
+			mu[j] += v
 		}
-		p.muTable[j] = sum / days
+	}
+	days := float64(p.histDays)
+	for j := range mu {
+		mu[j] /= days
 	}
 	// Resync the rolling ΦK window: the μD table just changed, so the η
 	// ratios of the last K observed slots (the tail of the day that just

@@ -163,14 +163,21 @@ func (c Config) normalized() (Config, error) {
 	if c.N <= 0 || perDay%c.N != 0 {
 		return c, fmt.Errorf("fleet: %d samples/day not divisible into %d slots", perDay, c.N)
 	}
-	if c.Jitter < 0 || c.Jitter >= 1 {
+	// The range checks are written as !(in range) so NaN fails them.
+	if !(c.Jitter >= 0 && c.Jitter < 1) {
 		return c, fmt.Errorf("fleet: jitter %.3f out of [0,1)", c.Jitter)
 	}
-	if c.HardwareSpread < 0 || c.HardwareSpread > 0.9 {
+	if !(c.HardwareSpread >= 0 && c.HardwareSpread <= 0.9) {
 		return c, fmt.Errorf("fleet: hardware spread %.3f out of [0,0.9]", c.HardwareSpread)
 	}
-	if c.NoiseSigma < 0 || c.NoiseSigma > 0.5 {
+	if !(c.NoiseSigma >= 0 && c.NoiseSigma <= 0.5) {
 		return c, fmt.Errorf("fleet: noise sigma %.3f out of [0,0.5]", c.NoiseSigma)
+	}
+	if !(c.DeadDowntime >= 0 && c.DeadDowntime <= 1) {
+		return c, fmt.Errorf("fleet: dead downtime %.3f out of [0,1]", c.DeadDowntime)
+	}
+	if !(c.DegradedDowntime >= 0 && c.DegradedDowntime <= c.DeadDowntime) {
+		return c, fmt.Errorf("fleet: degraded downtime %.3f out of [0,%.3f] (dead downtime)", c.DegradedDowntime, c.DeadDowntime)
 	}
 	if c.WarmupDays < 0 || c.WarmupDays >= c.Days {
 		return c, fmt.Errorf("fleet: warm-up %d days out of [0,%d)", c.WarmupDays, c.Days)
@@ -250,10 +257,10 @@ func (p *prng) NormFloat64() float64 {
 	}
 	u2 := p.Float64()
 	r := math.Sqrt(-2 * math.Log(u1))
-	theta := 2 * math.Pi * u2
-	p.spare = r * math.Sin(theta)
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	p.spare = r * sin
 	p.hasSpare = true
-	return r * math.Cos(theta)
+	return r * cos
 }
 
 // siteName keys a sampled site in the trace store. The master seed and

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"solarpred/internal/metrics"
+	"solarpred/internal/timeseries"
 )
 
 // testConfig returns a small, fast fleet configuration for tests.
@@ -318,6 +319,16 @@ func TestConfigRejects(t *testing.T) {
 		func(c *Config) { c.Jitter = -0.1 },
 		func(c *Config) { c.HardwareSpread = 0.95 },
 		func(c *Config) { c.NoiseSigma = 0.6 },
+		func(c *Config) { c.Jitter = math.NaN() },
+		func(c *Config) { c.HardwareSpread = math.NaN() },
+		func(c *Config) { c.NoiseSigma = math.NaN() },
+		func(c *Config) { c.DeadDowntime = -0.1 },
+		func(c *Config) { c.DeadDowntime = 1.5 },
+		func(c *Config) { c.DeadDowntime = math.NaN() },
+		func(c *Config) { c.DegradedDowntime = -0.1 },
+		func(c *Config) { c.DegradedDowntime = 1.5 },
+		func(c *Config) { c.DegradedDowntime = math.NaN() },
+		func(c *Config) { c.DegradedDowntime = c.DeadDowntime + 0.01 },
 		func(c *Config) { c.WarmupDays = 99 },
 		func(c *Config) { c.Mix = []ClimateShare{{Weight: -1}} },
 		func(c *Config) { c.Mix = []ClimateShare{{Weight: 0}} },
@@ -360,3 +371,78 @@ func TestRunResultJSON(t *testing.T) {
 		t.Error("mem_sys_bytes not populated")
 	}
 }
+
+// normSinCos is the Box-Muller draw with separate math.Sin and math.Cos
+// calls, the reference prng.NormFloat64's single Sincos must match.
+func normSinCos(p *prng) float64 {
+	if p.hasSpare {
+		p.hasSpare = false
+		return p.spare
+	}
+	u1 := p.Float64()
+	for u1 == 0 {
+		u1 = p.Float64()
+	}
+	u2 := p.Float64()
+	r := math.Sqrt(-2 * math.Log(u1))
+	theta := 2 * math.Pi * u2
+	p.spare = r * math.Sin(theta)
+	p.hasSpare = true
+	return r * math.Cos(theta)
+}
+
+// TestNormFloat64MatchesSinCos pins the per-node noise stream: over 2²⁰
+// draws (both halves of every Box-Muller pair) from several node seeds,
+// NormFloat64 equals the separate Sin/Cos reference bit for bit.
+func TestNormFloat64MatchesSinCos(t *testing.T) {
+	const seeds, draws = 8, 1 << 17
+	for i := 0; i < seeds; i++ {
+		got := prng{s: nodeSeed(int64(i), 1000*i)}
+		want := got
+		for d := 0; d < draws; d++ {
+			g, w := got.NormFloat64(), normSinCos(&want)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d draw %d: %v, reference %v", i, d, g, w)
+			}
+		}
+		if got != want {
+			t.Fatalf("seed %d: generator state diverged: %+v vs %+v", i, got, want)
+		}
+	}
+}
+
+// BenchmarkRunNode times one virtual node of the default fleet (30 days
+// of 48 slots with noise, hardware spread and leakage) and reports the
+// cost per node-slot.
+func BenchmarkRunNode(b *testing.B) {
+	cfg, err := DefaultConfig(1).normalized()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Sites = 4
+	sites, err := BuildSites(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := NewStore(sites, cfg.N)
+	views := make([]*timeseries.SlotView, len(sites))
+	thresholds := make([]float64, len(sites))
+	for i := range sites {
+		if views[i], err = store.View(sites[i].Name, cfg.Days, cfg.N); err != nil {
+			b.Fatal(err)
+		}
+		thresholds[i] = metrics.PeakThreshold(views[i].PeakMean(), metrics.DefaultROIFraction)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nr, err := RunNode(&cfg, i, views[i%cfg.Sites], thresholds[i%cfg.Sites])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchNode = nr
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Days*cfg.N), "ns/slot")
+}
+
+// benchNode keeps the benchmarked nodes observable to the compiler.
+var benchNode NodeResult

@@ -113,14 +113,6 @@ func (s *Storage) Discharge(requestJ float64) float64 {
 	return requestJ
 }
 
-// Leak applies self-discharge for a time span.
-func (s *Storage) Leak(days float64) {
-	if days <= 0 || s.LeakagePerDay == 0 {
-		return
-	}
-	s.levelJ *= math.Pow(1-s.LeakagePerDay, days)
-}
-
 // Load is the duty-cycled sensor node.
 type Load struct {
 	// ActiveW is the consumption while on (sensing + radio).
@@ -288,11 +280,19 @@ func (r Result) Utilisation() float64 {
 // out one Sim per node on its stack while Simulate keeps wrapping the
 // same arithmetic for the single-node drivers — both paths produce
 // bit-identical results because Simulate is implemented on Step.
+//
+// Everything Step needs that is fixed for the node's life is computed
+// once in NewSim: the slot length and the store's per-slot retention
+// (1−LeakagePerDay)^(1/n), so a step costs a handful of multiplies and
+// no transcendental call.
 type Sim struct {
 	cfg         Config
 	store       Storage
 	slotSeconds float64
-	leakDays    float64
+	// retention is the fraction of stored energy left after one slot of
+	// self-discharge; exactly 1 for a store that does not leak, which
+	// makes the per-slot multiply an identity.
+	retention float64
 
 	res                Result
 	dutySum, dutySumSq float64
@@ -315,7 +315,7 @@ func NewSim(cfg Config, n int) (Sim, error) {
 		cfg:         cfg,
 		store:       *store,
 		slotSeconds: float64(timeseries.MinutesPerDay/n) * 60,
-		leakDays:    1 / float64(n),
+		retention:   math.Pow(1-cfg.LeakagePerDay, 1/float64(n)),
 	}, nil
 }
 
@@ -339,7 +339,7 @@ func (s *Sim) Step(predictedPower, actualMeanPower float64) (duty float64) {
 	if got < want-1e-12 {
 		s.res.DownSlots++
 	}
-	s.store.Leak(s.leakDays)
+	s.store.levelJ *= s.retention
 
 	s.dutySum += duty
 	s.dutySumSq += duty * duty

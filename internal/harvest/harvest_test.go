@@ -86,22 +86,40 @@ func TestStorageChargeDischarge(t *testing.T) {
 	}
 }
 
+// TestStorageLeak checks self-discharge through the node-slot: a node
+// that neither harvests nor consumes keeps (1−LeakagePerDay)^days of its
+// store, and a store that does not leak keeps its level exactly.
 func TestStorageLeak(t *testing.T) {
-	s, _ := NewStorage(100, 1, 0.5, 1)
-	s.Leak(1)
-	if math.Abs(s.LevelJ()-50) > 1e-9 {
-		t.Errorf("after 1 day at 50%%/day: %v", s.LevelJ())
-	}
-	s.Leak(0)
-	if math.Abs(s.LevelJ()-50) > 1e-9 {
-		t.Error("zero-time leak changed level")
-	}
-	// Half a day leaks by sqrt factor.
-	s2, _ := NewStorage(100, 1, 0.19, 1)
-	s2.Leak(0.5)
-	want := 100 * math.Pow(0.81, 0.5)
-	if math.Abs(s2.LevelJ()-want) > 1e-9 {
-		t.Errorf("fractional leak = %v, want %v", s2.LevelJ(), want)
+	cfg := DefaultConfig()
+	cfg.Load = Load{ActiveW: 0.1, SleepW: 0, MinDuty: 0, MaxDuty: 1}
+	cfg.Controller.FeedbackGain = 0
+	cfg.StorageCapacityJ = 100
+	cfg.InitialFraction = 1
+	const n = 48
+	for _, tc := range []struct{ leak, halfDay, day float64 }{
+		{0.5, 100 * math.Sqrt(0.5), 50},
+		{0.19, 90, 81},
+		{0, 100, 100},
+	} {
+		cfg.LeakagePerDay = tc.leak
+		sim, err := NewSim(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []float64{tc.halfDay, tc.day} {
+			for i := 0; i < n/2; i++ {
+				sim.Step(0, 0)
+			}
+			if got := sim.Storage().LevelJ(); math.Abs(got-want) > 1e-9 {
+				t.Errorf("leak %.2f/day after %d slots: level %v, want %v", tc.leak, sim.Result().Slots, got, want)
+			}
+		}
+		if tc.leak == 0 && sim.Storage().LevelJ() != 100 {
+			t.Errorf("non-leaking store changed level to %v", sim.Storage().LevelJ())
+		}
+		if res := sim.Result(); res.ConsumedJ != 0 || res.HarvestedJ != 0 {
+			t.Errorf("idle node moved energy: %+v", res)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func TestStorageNeverExceedsBounds(t *testing.T) {
 			case 1:
 				s.Discharge(rng.Float64() * 200)
 			case 2:
-				s.Leak(rng.Float64())
+				leakRef(s, rng.Float64())
 			}
 			if s.LevelJ() < 0 || s.LevelJ() > s.CapacityJ+1e-9 {
 				return false
