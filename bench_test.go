@@ -1,6 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper (DESIGN.md
-// §4 maps each bench to its artefact), plus the ablation benches of
-// DESIGN.md §5 and micro-benchmarks of the hot paths.
+// Benchmarks regenerating every table and figure of the paper (each bench
+// is named after its artefact), plus ablation benches and
+// micro-benchmarks of the hot paths.
 //
 // Table/figure benches run the experiment drivers at the reduced
 // QuickConfig scale so `go test -bench=.` completes in seconds; the key
@@ -189,7 +189,7 @@ func BenchmarkTableV(b *testing.B) {
 	b.ReportMetric(r.Both*100, "dynamic%")
 }
 
-// --- Ablations (DESIGN.md §5) -----------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 // BenchmarkAblationFixedPoint compares the float64 predictor and the
 // Q16.16 kernel numerically and reports the accuracy cost of fixed point

@@ -197,8 +197,13 @@ func (p *Predictor) Observe(slot int, power float64) error {
 	if power < 0 || math.IsNaN(power) || math.IsInf(power, 0) {
 		return fmt.Errorf("core: invalid power %v", power)
 	}
-	if slot != p.curSlot%p.n {
-		return fmt.Errorf("core: slot %d observed out of order (expected %d)", slot, p.curSlot%p.n)
+	// curSlot runs 0..n, so the expected slot is curSlot wrapped at n.
+	want := p.curSlot
+	if want == p.n {
+		want = 0
+	}
+	if slot != want {
+		return fmt.Errorf("core: slot %d observed out of order (expected %d)", slot, want)
 	}
 	if slot == 0 && p.curSlot == p.n {
 		p.rollDay()
@@ -398,7 +403,10 @@ func (p *Predictor) Predict() (float64, error) {
 		return 0, fmt.Errorf("core: no observation yet for the current day")
 	}
 	n := p.curSlot - 1 // last observed slot
-	next := (n + 1) % p.n
+	next := p.curSlot  // n+1, wrapped to slot 0 after the day's last slot
+	if next == p.n {
+		next = 0
+	}
 	mu := p.muD(next)
 	phi := p.phiRolling()
 	alpha := p.params.Alpha

@@ -6,7 +6,7 @@
 // this package substitutes a deterministic generator: a clear-sky envelope
 // from internal/solar modulated by a per-site stochastic cloud process
 // from internal/cloud. Row counts, day counts and sampling resolutions
-// match Table I exactly; see DESIGN.md §2 for the fidelity argument.
+// match Table I exactly.
 package dataset
 
 import (

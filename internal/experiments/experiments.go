@@ -2,8 +2,9 @@
 // paper's evaluation (Section IV). Each driver generates (or accepts) the
 // site traces, runs the relevant exploration from internal/optimize or
 // internal/mcu, and returns structured rows that cmd tools, examples and
-// the bench harness render. DESIGN.md §4 maps every paper artefact to
-// the driver here that regenerates it.
+// the bench harness render. Each driver is named after the artefact it
+// regenerates (TableII, Fig7, …); cmd/repro runs them all (README.md,
+// "Reproducing the paper").
 package experiments
 
 import (

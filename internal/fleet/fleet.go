@@ -231,11 +231,27 @@ func nodeSeed(master int64, i int) uint64 {
 
 // prng is a small deterministic generator (splitmix64 + Box-Muller) used
 // per node so sampling a node's world allocates nothing.
+//
+// A Box-Muller pair yields two draws; the second waits as the spare.
+// SkipNorm steps past a draw without evaluating it: the stream moves
+// exactly as NormFloat64 would move it, and a pair SkipNorm opens keeps
+// only its uniforms (a lazy spare), so r·sin is computed only if a later
+// NormFloat64 consumes it.
 type prng struct {
-	s        uint64
-	spare    float64
-	hasSpare bool
+	s      uint64
+	spare  float64 // r·sin of the open pair, when held == spareValue
+	u1, u2 float64 // the open pair's uniforms, when held == spareLazy
+	held   spareKind
 }
+
+// spareKind says what a prng holds of the second draw of an open pair.
+type spareKind uint8
+
+const (
+	spareNone  spareKind = iota // no open pair
+	spareValue                  // spare holds r·sin
+	spareLazy                   // u1, u2 hold the pair, r·sin not yet computed
+)
 
 func (p *prng) next() uint64 {
 	p.s += 0x9e3779b97f4a7c15
@@ -245,22 +261,58 @@ func (p *prng) next() uint64 {
 // Float64 returns a uniform draw in [0, 1).
 func (p *prng) Float64() float64 { return float64(p.next()>>11) / (1 << 53) }
 
-// NormFloat64 returns a standard normal draw (Box-Muller).
-func (p *prng) NormFloat64() float64 {
-	if p.hasSpare {
-		p.hasSpare = false
-		return p.spare
-	}
-	u1 := p.Float64()
+// uniforms draws a Box-Muller pair's (u1, u2), rejecting u1 == 0.
+func (p *prng) uniforms() (u1, u2 float64) {
+	u1 = p.Float64()
 	for u1 == 0 {
 		u1 = p.Float64()
 	}
-	u2 := p.Float64()
+	return u1, p.Float64()
+}
+
+// NormFloat64 returns a standard normal draw (Box-Muller).
+func (p *prng) NormFloat64() float64 {
+	switch p.held {
+	case spareValue:
+		p.held = spareNone
+		return p.spare
+	case spareLazy:
+		p.held = spareNone
+		return math.Sqrt(-2*math.Log(p.u1)) * math.Sin(2*math.Pi*p.u2)
+	}
+	u1, u2 := p.uniforms()
 	r := math.Sqrt(-2 * math.Log(u1))
 	sin, cos := math.Sincos(2 * math.Pi * u2)
 	p.spare = r * sin
-	p.hasSpare = true
+	p.held = spareValue
 	return r * cos
+}
+
+// SkipNorm advances the stream past one NormFloat64 draw without
+// evaluating it.
+func (p *prng) SkipNorm() {
+	if p.held != spareNone {
+		p.held = spareNone
+		return
+	}
+	p.u1, p.u2 = p.uniforms()
+	p.held = spareLazy
+}
+
+// maxAbsNorm is the largest |z| NormFloat64 can return. u1 takes the
+// values k·2⁻⁵³ with k ≥ 1, so −2·ln u1 peaks at u1 = 2⁻⁵³ (the next
+// value, 2⁻⁵², is ln 2 away, far beyond Log's sub-ulp error), and
+// |r·sin| and |r·cos| never exceed r. It is ≈ 8.5717.
+var maxAbsNorm = math.Sqrt(-2 * math.Log(0x1p-53))
+
+// noiseSkipExact reports whether a night slot's noise draw can be
+// skipped without changing any bit: a zero reading times 1+σz keeps its
+// sign only while 1+σz > 0 for every reachable z, i.e. σ below
+// ≈ 1/8.5717. Float multiplication and addition round monotonically, so
+// checking the extreme z = −maxAbsNorm covers every other z. Above the
+// bound, +0·(1+σz) can be −0, which differs from +0 bitwise.
+func noiseSkipExact(sigma float64) bool {
+	return 1-sigma*maxAbsNorm > 0
 }
 
 // siteName keys a sampled site in the trace store. The master seed and
@@ -350,6 +402,28 @@ type nodeWorld struct {
 	params core.Params
 	noise  prng
 	sigma  float64
+	// skipDark is noiseSkipExact(sigma): night readings skip their draw.
+	skipDark bool
+}
+
+// observe returns the node's noisy reading of slot-start power start,
+// taking one draw from the noise stream when sigma > 0. A zero reading
+// stays zero under 1+σz > 0, so with skipDark it only steps the stream
+// (SkipNorm); the reading and the stream position are bit for bit those
+// of the full draw.
+func (w *nodeWorld) observe(start float64) float64 {
+	if !(w.sigma > 0) {
+		return start
+	}
+	if start == 0 && w.skipDark {
+		w.noise.SkipNorm()
+		return start
+	}
+	obs := start * (1 + w.sigma*w.noise.NormFloat64())
+	if obs < 0 {
+		obs = 0
+	}
+	return obs
 }
 
 // sampleNode derives node i's world from the master seed alone.
@@ -382,7 +456,7 @@ func sampleNode(cfg *Config, i int) nodeWorld {
 
 	// The noise stream continues from the same generator, so hardware
 	// sampling and measurement noise are one per-node stream.
-	return nodeWorld{hw: hw, params: params, noise: p, sigma: cfg.NoiseSigma}
+	return nodeWorld{hw: hw, params: params, noise: p, sigma: cfg.NoiseSigma, skipDark: noiseSkipExact(cfg.NoiseSigma)}
 }
 
 func clamp(x, lo, hi float64) float64 {
@@ -399,6 +473,12 @@ func clamp(x, lo, hi float64) float64 {
 // returns the per-node result. threshold is the site's absolute ROI
 // threshold for error scoring. The outcome is a pure function of
 // (cfg.Seed, i, view) — workers, shards and scheduling cannot affect it.
+//
+// Night slots (view.Start[t] == 0) skip their noise draw while
+// cfg.NoiseSigma is below noiseSkipExact's bound (≈ 0.1167; the default is
+// 0.02): a zero reading times 1+σz is that same zero for every reachable
+// z there, so only the stream position matters, and SkipNorm keeps it.
+// Above the bound every slot takes the full draw.
 func RunNode(cfg *Config, i int, view *timeseries.SlotView, threshold float64) (NodeResult, error) {
 	w := sampleNode(cfg, i)
 	pred, err := core.New(cfg.N, w.params)
@@ -415,27 +495,24 @@ func RunNode(cfg *Config, i int, view *timeseries.SlotView, threshold float64) (
 	}
 	warmupSlots := cfg.WarmupDays * cfg.N
 	total := view.TotalSlots()
+	// j is t's slot of the day; a wrapping counter saves a per-slot
+	// integer division.
+	j := 0
 	for t := 0; t < total; t++ {
-		j := t % view.N
-		obs := view.Start[t]
-		if w.sigma > 0 {
-			obs *= 1 + w.sigma*w.noise.NormFloat64()
-			if obs < 0 {
-				obs = 0
-			}
-		}
-		if err := pred.Observe(j, obs); err != nil {
+		if err := pred.Observe(j, w.observe(view.Start[t])); err != nil {
 			return NodeResult{}, err
 		}
 		forecast, err := pred.Predict()
 		if err != nil {
 			return NodeResult{}, err
 		}
-		day, slot := view.Split(t)
-		mean := view.MeanAt(day, slot)
+		mean := view.Mean[t]
 		sim.Step(forecast, mean)
 		if t >= warmupSlots {
 			acc.Add(forecast, mean)
+		}
+		if j++; j == view.N {
+			j = 0
 		}
 	}
 	res := sim.Result()

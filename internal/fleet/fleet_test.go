@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -333,6 +334,8 @@ func TestConfigRejects(t *testing.T) {
 		func(c *Config) { c.Mix = []ClimateShare{{Weight: -1}} },
 		func(c *Config) { c.Mix = []ClimateShare{{Weight: 0}} },
 		func(c *Config) { c.Harvest.StorageCapacityJ = -1 },
+		func(c *Config) { c.Harvest.StorageCapacityJ = math.Inf(1) },
+		func(c *Config) { c.Harvest.Panel.Efficiency = math.NaN() },
 		func(c *Config) { c.Params.Alpha = 2 },
 	}
 	for i, mutate := range bad {
@@ -372,48 +375,12 @@ func TestRunResultJSON(t *testing.T) {
 	}
 }
 
-// normSinCos is the Box-Muller draw with separate math.Sin and math.Cos
-// calls, the reference prng.NormFloat64's single Sincos must match.
-func normSinCos(p *prng) float64 {
-	if p.hasSpare {
-		p.hasSpare = false
-		return p.spare
-	}
-	u1 := p.Float64()
-	for u1 == 0 {
-		u1 = p.Float64()
-	}
-	u2 := p.Float64()
-	r := math.Sqrt(-2 * math.Log(u1))
-	theta := 2 * math.Pi * u2
-	p.spare = r * math.Sin(theta)
-	p.hasSpare = true
-	return r * math.Cos(theta)
-}
-
-// TestNormFloat64MatchesSinCos pins the per-node noise stream: over 2²⁰
-// draws (both halves of every Box-Muller pair) from several node seeds,
-// NormFloat64 equals the separate Sin/Cos reference bit for bit.
-func TestNormFloat64MatchesSinCos(t *testing.T) {
-	const seeds, draws = 8, 1 << 17
-	for i := 0; i < seeds; i++ {
-		got := prng{s: nodeSeed(int64(i), 1000*i)}
-		want := got
-		for d := 0; d < draws; d++ {
-			g, w := got.NormFloat64(), normSinCos(&want)
-			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("seed %d draw %d: %v, reference %v", i, d, g, w)
-			}
-		}
-		if got != want {
-			t.Fatalf("seed %d: generator state diverged: %+v vs %+v", i, got, want)
-		}
-	}
-}
-
 // BenchmarkRunNode times one virtual node of the default fleet (30 days
-// of 48 slots with noise, hardware spread and leakage) and reports the
-// cost per node-slot.
+// of 48 slots with hardware spread and leakage) and reports the cost per
+// node-slot. It runs at three noise levels: none, the default 2% (night
+// slots skip their draw) and 50% (above the skip bound, every slot
+// draws), so a slowdown of the full-draw path cannot hide behind the
+// default.
 func BenchmarkRunNode(b *testing.B) {
 	cfg, err := DefaultConfig(1).normalized()
 	if err != nil {
@@ -433,15 +400,20 @@ func BenchmarkRunNode(b *testing.B) {
 		}
 		thresholds[i] = metrics.PeakThreshold(views[i].PeakMean(), metrics.DefaultROIFraction)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nr, err := RunNode(&cfg, i, views[i%cfg.Sites], thresholds[i%cfg.Sites])
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchNode = nr
+	for _, sigma := range []float64{0, 0.02, 0.5} {
+		b.Run(fmt.Sprintf("sigma=%g", sigma), func(b *testing.B) {
+			cfg := cfg
+			cfg.NoiseSigma = sigma
+			for i := 0; i < b.N; i++ {
+				nr, err := RunNode(&cfg, i, views[i%cfg.Sites], thresholds[i%cfg.Sites])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchNode = nr
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Days*cfg.N), "ns/slot")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Days*cfg.N), "ns/slot")
 }
 
 // benchNode keeps the benchmarked nodes observable to the compiler.

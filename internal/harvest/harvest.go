@@ -35,7 +35,7 @@ func (p Panel) Power(irradiance float64) float64 {
 
 // Validate checks the panel parameters.
 func (p Panel) Validate() error {
-	if p.AreaM2 <= 0 || p.Efficiency <= 0 || p.Efficiency > 0.5 {
+	if !(p.AreaM2 > 0 && p.AreaM2 < math.Inf(1) && p.Efficiency > 0 && p.Efficiency <= 0.5) {
 		return fmt.Errorf("harvest: implausible panel (area %.4f m², efficiency %.2f)", p.AreaM2, p.Efficiency)
 	}
 	return nil
@@ -57,16 +57,16 @@ type Storage struct {
 
 // NewStorage creates a store at the given initial fill fraction.
 func NewStorage(capacityJ, chargeEff, leakPerDay, initialFrac float64) (*Storage, error) {
-	if capacityJ <= 0 {
-		return nil, fmt.Errorf("harvest: capacity %.1f J must be positive", capacityJ)
+	if !(capacityJ > 0 && capacityJ < math.Inf(1)) {
+		return nil, fmt.Errorf("harvest: capacity %.1f J must be positive and finite", capacityJ)
 	}
-	if chargeEff <= 0 || chargeEff > 1 {
+	if !(chargeEff > 0 && chargeEff <= 1) {
 		return nil, fmt.Errorf("harvest: charge efficiency %.2f out of (0,1]", chargeEff)
 	}
-	if leakPerDay < 0 || leakPerDay >= 1 {
+	if !(leakPerDay >= 0 && leakPerDay < 1) {
 		return nil, fmt.Errorf("harvest: leakage %.3f/day out of [0,1)", leakPerDay)
 	}
-	if initialFrac < 0 || initialFrac > 1 {
+	if !(initialFrac >= 0 && initialFrac <= 1) {
 		return nil, fmt.Errorf("harvest: initial fill %.2f out of [0,1]", initialFrac)
 	}
 	return &Storage{
@@ -125,10 +125,10 @@ type Load struct {
 
 // Validate checks the load parameters.
 func (l Load) Validate() error {
-	if l.ActiveW <= 0 || l.SleepW < 0 || l.ActiveW <= l.SleepW {
+	if !(l.SleepW >= 0 && l.ActiveW > l.SleepW && l.ActiveW < math.Inf(1)) {
 		return fmt.Errorf("harvest: implausible load (active %.4f W, sleep %.6f W)", l.ActiveW, l.SleepW)
 	}
-	if l.MinDuty < 0 || l.MaxDuty > 1 || l.MinDuty > l.MaxDuty {
+	if !(l.MinDuty >= 0 && l.MinDuty <= l.MaxDuty && l.MaxDuty <= 1) {
 		return fmt.Errorf("harvest: duty bounds [%.2f,%.2f] invalid", l.MinDuty, l.MaxDuty)
 	}
 	return nil
@@ -169,10 +169,10 @@ type Controller struct {
 
 // Validate checks controller parameters.
 func (c Controller) Validate() error {
-	if c.TargetFraction <= 0 || c.TargetFraction >= 1 {
+	if !(c.TargetFraction > 0 && c.TargetFraction < 1) {
 		return fmt.Errorf("harvest: target fraction %.2f out of (0,1)", c.TargetFraction)
 	}
-	if c.FeedbackGain < 0 || c.FeedbackGain > 1 {
+	if !(c.FeedbackGain >= 0 && c.FeedbackGain <= 1) {
 		return fmt.Errorf("harvest: feedback gain %.2f out of [0,1]", c.FeedbackGain)
 	}
 	return nil
@@ -219,7 +219,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the full configuration.
+// Validate checks the full configuration. Every range check it runs is
+// written as !(in range), so a NaN field fails it.
 func (c Config) Validate() error {
 	if err := c.Panel.Validate(); err != nil {
 		return err

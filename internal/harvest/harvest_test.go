@@ -46,6 +46,46 @@ func TestStorageValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejects covers Config.Validate field by field: NaN in
+// any float field, and infinite sizes, must be rejected, by Validate and
+// by NewSim.
+func TestConfigValidateRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]func(*Config){
+		"area NaN":            func(c *Config) { c.Panel.AreaM2 = nan },
+		"area +Inf":           func(c *Config) { c.Panel.AreaM2 = inf },
+		"efficiency NaN":      func(c *Config) { c.Panel.Efficiency = nan },
+		"active NaN":          func(c *Config) { c.Load.ActiveW = nan },
+		"active +Inf":         func(c *Config) { c.Load.ActiveW = inf },
+		"sleep NaN":           func(c *Config) { c.Load.SleepW = nan },
+		"min duty NaN":        func(c *Config) { c.Load.MinDuty = nan },
+		"max duty NaN":        func(c *Config) { c.Load.MaxDuty = nan },
+		"target NaN":          func(c *Config) { c.Controller.TargetFraction = nan },
+		"gain NaN":            func(c *Config) { c.Controller.FeedbackGain = nan },
+		"capacity NaN":        func(c *Config) { c.StorageCapacityJ = nan },
+		"capacity +Inf":       func(c *Config) { c.StorageCapacityJ = inf },
+		"charge eff NaN":      func(c *Config) { c.ChargeEfficiency = nan },
+		"leakage NaN":         func(c *Config) { c.LeakagePerDay = nan },
+		"initial fill NaN":    func(c *Config) { c.InitialFraction = nan },
+		"capacity zero":       func(c *Config) { c.StorageCapacityJ = 0 },
+		"sleep above active":  func(c *Config) { c.Load.SleepW = c.Load.ActiveW },
+		"min above max duty":  func(c *Config) { c.Load.MinDuty = c.Load.MaxDuty + 0.01 },
+		"max duty above one":  func(c *Config) { c.Load.MaxDuty = 1.01 },
+		"target fraction one": func(c *Config) { c.Controller.TargetFraction = 1 },
+		"gain above one":      func(c *Config) { c.Controller.FeedbackGain = 1.5 },
+	}
+	for name, mutate := range bad {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if _, err := NewSim(cfg, 48); err == nil {
+			t.Errorf("%s: NewSim accepted it", name)
+		}
+	}
+}
+
 func TestStorageChargeDischarge(t *testing.T) {
 	s, err := NewStorage(100, 0.5, 0, 0.5)
 	if err != nil {

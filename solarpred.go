@@ -30,8 +30,9 @@
 //		_ = forecast // budget the next slot's energy as forecast·T
 //	}
 //
-// See the examples directory for runnable programs and DESIGN.md for the
-// system inventory and the experiment index.
+// See the examples directory for runnable programs, and README.md's
+// "Package map" and "Reproducing the paper" sections for the system
+// inventory and the experiment index.
 package solarpred
 
 import (
