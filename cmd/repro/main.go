@@ -1,18 +1,24 @@
 // Command repro regenerates every table and figure of the paper in one
 // run: Table I (data sets), Fig. 2 (trace variability), Table II (error
-// functions), Table III (sampling rates), Table IV (hardware energy),
-// Fig. 6 (overhead), Fig. 7 (MAPE versus D) and Table V (dynamic
-// parameters). Its output is the source for EXPERIMENTS.md.
+// functions), Table III (sampling rates), Table IV and Fig. 6 (hardware
+// energy and overhead), Fig. 7 (MAPE versus D) and Table V (dynamic
+// parameters). It then prints the extensions: guidelines and baselines,
+// the fixed-point ablation, accuracy versus computation, Table VI
+// (realizable online selection), error by weather type, sensor-fault
+// robustness, the seasonal profile and the predictor RAM table. README's
+// "Artefact map" maps each section to its driver, golden file and
+// perfbench metric.
 //
 // Usage:
 //
-//	repro            # full paper scale (about a minute)
-//	repro -quick     # reduced scale, seconds
+//	repro            # full paper scale (about 3 s on 2 vCPUs)
+//	repro -quick     # reduced scale, well under a second
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -30,54 +36,61 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent (site, N) evaluations per driver (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	cfg := experiments.DefaultConfig()
-	if *quick {
-		cfg = experiments.QuickConfig()
-	}
-	cfg.Workers = *workers
-	// One experiment store serves every driver of the run: each
-	// (site, N, space, ref) tuple is grid-searched exactly once, and every
-	// later table or figure that needs it reads the cached result.
-	cfg.Store = experiments.NewStore(cfg)
-	if err := run(cfg, *quick); err != nil {
+	// Stdout stays unbuffered so each section appears as soon as it is
+	// computed.
+	if err := run(os.Stdout, newConfig(*quick, *workers), *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
 	}
 }
 
-func section(name string) func() {
-	start := time.Now()
-	fmt.Printf("==== %s ====\n\n", name)
-	return func() { fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds()) }
+// newConfig returns the paper-scale or quick configuration with one
+// experiment store serving every driver of the run: each (site, N, space,
+// ref) tuple is grid-searched exactly once, and every later table or
+// figure that needs it reads the cached result.
+func newConfig(quick bool, workers int) experiments.Config {
+	cfg := experiments.DefaultConfig()
+	if quick {
+		cfg = experiments.QuickConfig()
+	}
+	cfg.Workers = workers
+	cfg.Store = experiments.NewStore(cfg)
+	return cfg
 }
 
-func run(cfg experiments.Config, quick bool) error {
-	fmt.Printf("solarpred paper reproduction — sites %v, %d days, warm-up %d\n\n",
+func section(w io.Writer, name string) func() {
+	start := time.Now()
+	fmt.Fprintf(w, "==== %s ====\n\n", name)
+	return func() { fmt.Fprintf(w, "(%.1fs)\n\n", time.Since(start).Seconds()) }
+}
+
+func run(w io.Writer, cfg experiments.Config, quick bool) error {
+	fmt.Fprintf(w, "solarpred paper reproduction — sites %v, %d days, warm-up %d\n\n",
 		cfg.Sites, cfg.Days, cfg.WarmupDays)
 
 	// Table I.
-	done := section("Table I: data sets")
+	done := section(w, "Table I: data sets")
 	t1 := report.NewTable("", "Data Set", "Location", "Observations", "Days", "Resolution")
 	for _, r := range dataset.TableI() {
 		t1.AddRow(r.Name, r.Location, strconv.Itoa(r.Observations), strconv.Itoa(r.Days), r.Resolution)
 	}
-	fmt.Println(t1.String())
+	fmt.Fprintln(w, t1.String())
 	done()
 
 	// Fig. 2.
-	done = section("Fig. 2: six days of solar energy (SPMD-like trace)")
+	done = section(w, "Fig. 2: six days of solar energy (SPMD-like trace)")
 	fig2, err := experiments.Fig2(cfg, cfg.Sites[0], 6)
 	if err != nil {
 		return err
 	}
 	chart := report.NewChart(fmt.Sprintf("%s days %v (5-minute samples)", fig2.Site, fig2.Days), 72, 10)
 	chart.Add("power", '*', fig2.Samples)
-	fmt.Println(chart.String())
+	fmt.Fprintln(w, chart.String())
 	done()
 
 	// Table II.
 	n48 := 48
-	done = section("Table II: error-function comparison at N=48")
+	done = section(w, "Table II: error-function comparison at N=48")
 	rows2, err := experiments.TableII(cfg, n48)
 	if err != nil {
 		return err
@@ -90,11 +103,11 @@ func run(cfg experiments.Config, quick bool) error {
 			fmt.Sprintf("%.1f", r.MeanBest.Params.Alpha), strconv.Itoa(r.MeanBest.Params.D),
 			strconv.Itoa(r.MeanBest.Params.K), report.Percent(r.MeanError))
 	}
-	fmt.Println(t2.String())
+	fmt.Fprintln(w, t2.String())
 	done()
 
 	// Table III.
-	done = section("Table III: prediction results at different N")
+	done = section(w, "Table III: prediction results at different N")
 	rows3, err := experiments.TableIII(cfg)
 	if err != nil {
 		return err
@@ -113,13 +126,13 @@ func run(cfg experiments.Config, quick bool) error {
 			fmt.Sprintf("%.1f", r.Best.Params.Alpha), strconv.Itoa(r.Best.Params.D),
 			strconv.Itoa(r.Best.Params.K), report.Percent(r.Best.Report.MAPE), k2)
 	}
-	fmt.Println(t3.String())
-	fmt.Println("* slot length equals trace resolution: prediction exact with a=1")
-	fmt.Println()
+	fmt.Fprintln(w, t3.String())
+	fmt.Fprintln(w, "* slot length equals trace resolution: prediction exact with a=1")
+	fmt.Fprintln(w)
 	done()
 
 	// Table IV + Fig. 6.
-	done = section("Table IV and Fig. 6: hardware energy model (soft-float)")
+	done = section(w, "Table IV and Fig. 6: hardware energy model (soft-float)")
 	rows4, err := mcu.TableIV(mcu.SoftFloat)
 	if err != nil {
 		return err
@@ -132,7 +145,7 @@ func run(cfg experiments.Config, quick bool) error {
 			t4.AddRow(r.Activity, fmt.Sprintf("%.1f uJ", r.EnergyJ*1e6))
 		}
 	}
-	fmt.Println(t4.String())
+	fmt.Fprintln(w, t4.String())
 	ns, fractions, err := mcu.Fig6(mcu.SoftFloat)
 	if err != nil {
 		return err
@@ -143,11 +156,11 @@ func run(cfg experiments.Config, quick bool) error {
 		labels[i] = fmt.Sprintf("N=%d", ns[i])
 		vals[i] = fractions[i] * 100
 	}
-	fmt.Println(report.Bars("Fig. 6: overhead vs sleep energy", labels, vals, "%", 40))
+	fmt.Fprintln(w, report.Bars("Fig. 6: overhead vs sleep energy", labels, vals, "%", 40))
 	done()
 
 	// Fig. 7.
-	done = section("Fig. 7: MAPE vs D at N=48")
+	done = section(w, "Fig. 7: MAPE vs D at N=48")
 	series, err := experiments.Fig7(cfg, n48)
 	if err != nil {
 		return err
@@ -158,11 +171,11 @@ func run(cfg experiments.Config, quick bool) error {
 		chart7.Add(s.Site, markers[i%len(markers)], s.MAPEs)
 	}
 	chart7.XLabel = fmt.Sprintf("D = %d .. %d", cfg.Space.Ds[0], cfg.Space.Ds[len(cfg.Space.Ds)-1])
-	fmt.Println(chart7.String())
+	fmt.Fprintln(w, chart7.String())
 	done()
 
 	// Table V.
-	done = section("Table V: dynamic parameter selection")
+	done = section(w, "Table V: dynamic parameter selection")
 	vCfg := cfg
 	if !quick {
 		vCfg.Sites = []string{"SPMD", "ECSU", "ORNL", "HSU"} // the paper's Table V subset
@@ -182,11 +195,11 @@ func run(cfg experiments.Config, quick bool) error {
 			fmt.Sprintf("%.1f", r.KOnlyAlpha), report.Percent(r.KOnly),
 			strconv.Itoa(r.AlphaOnlyK), report.Percent(r.AlphaOnly))
 	}
-	fmt.Println(t5.String())
+	fmt.Fprintln(w, t5.String())
 	done()
 
 	// Guidelines and baselines (Section IV-B prose, plus extension).
-	done = section("Guidelines and baselines at N=48")
+	done = section(w, "Guidelines and baselines at N=48")
 	gs, err := experiments.Guidelines(cfg, n48)
 	if err != nil {
 		return err
@@ -198,7 +211,7 @@ func run(cfg experiments.Config, quick bool) error {
 		tg.AddRow(g.Site, report.Percent(g.OptimumMAPE), report.Percent(g.GuidelineMAPE),
 			fmt.Sprintf("%+.2fpp", g.Penalty*100))
 	}
-	fmt.Println(tg.String())
+	fmt.Fprintln(w, tg.String())
 	bs, err := experiments.Baselines(cfg, n48, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
 	if err != nil {
 		return err
@@ -209,11 +222,11 @@ func run(cfg experiments.Config, quick bool) error {
 			fmt.Sprintf("%.1f", b.EWMABeta), report.Percent(b.Persistence), report.Percent(b.PreviousDay),
 			report.Percent(b.SlotAR))
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 	done()
 
 	// Fixed-point ablation.
-	done = section("Ablation: soft-float vs fixed-point prediction cost")
+	done = section(w, "Ablation: soft-float vs fixed-point prediction cost")
 	ta := report.NewTable("", "K", "soft-float", "fixed-q16", "ratio")
 	for _, k := range []int{1, 2, 4, 7} {
 		pp := core.Params{Alpha: 0.7, D: 20, K: k}
@@ -228,11 +241,11 @@ func run(cfg experiments.Config, quick bool) error {
 		ta.AddRow(strconv.Itoa(k), fmt.Sprintf("%.2f uJ", sf*1e6),
 			fmt.Sprintf("%.2f uJ", fx*1e6), fmt.Sprintf("%.1fx", sf/fx))
 	}
-	fmt.Println(ta.String())
+	fmt.Fprintln(w, ta.String())
 	done()
 
 	// Cross-algorithm accuracy vs computation (the theme of [7]).
-	done = section("Extension: accuracy vs computation across algorithms (N=48, SPMD-like site)")
+	done = section(w, "Extension: accuracy vs computation across algorithms (N=48, SPMD-like site)")
 	costs, err := mcu.AlgorithmCosts(core.Params{Alpha: 0.7, D: 10, K: 2}, mcu.SoftFloat)
 	if err != nil {
 		return err
@@ -255,11 +268,11 @@ func run(cfg experiments.Config, quick bool) error {
 		tc.AddRow(c.Name, report.Percent(mapeOf[c.Name]),
 			strconv.Itoa(c.Cycles), fmt.Sprintf("%.2f uJ", c.EnergyJ*1e6))
 	}
-	fmt.Println(tc.String())
+	fmt.Fprintln(w, tc.String())
 	done()
 
 	// Table VI: realizable online parameter selection.
-	done = section("Table VI (extension): realizable online parameter selection")
+	done = section(w, "Table VI (extension): realizable online parameter selection")
 	viCfg := cfg
 	if !quick {
 		viCfg.Sites = []string{"SPMD", "ECSU", "ORNL", "HSU"}
@@ -280,11 +293,11 @@ func run(cfg experiments.Config, quick bool) error {
 		}
 		t6.AddRow(cells...)
 	}
-	fmt.Println(t6.String())
+	fmt.Fprintln(w, t6.String())
 	done()
 
 	// Error by weather type.
-	done = section("Extension: MAPE by realised weather type at N=48")
+	done = section(w, "Extension: MAPE by realised weather type at N=48")
 	tw := report.NewTable("", "Data set", "clear", "partly", "overcast", "mixed")
 	for _, site := range cfg.Sites {
 		res, err := experiments.ErrorByDayType(cfg, site, n48, experiments.GuidelineParams(n48))
@@ -295,11 +308,11 @@ func run(cfg experiments.Config, quick bool) error {
 			report.Percent(res.MAPE[0]), report.Percent(res.MAPE[1]),
 			report.Percent(res.MAPE[2]), report.Percent(res.MAPE[3]))
 	}
-	fmt.Println(tw.String())
+	fmt.Fprintln(w, tw.String())
 	done()
 
 	// Sensor-fault robustness.
-	done = section("Extension: sensor-fault robustness at N=48 (guideline parameters)")
+	done = section(w, "Extension: sensor-fault robustness at N=48 (guideline parameters)")
 	rrows, err := experiments.Robustness(cfg, n48)
 	if err != nil {
 		return err
@@ -311,11 +324,11 @@ func run(cfg experiments.Config, quick bool) error {
 			report.Percent(r.CleanMAPE), report.Percent(r.FaultyMAPE),
 			fmt.Sprintf("%+.2fpp", r.DegradationPoints()*100))
 	}
-	fmt.Println(tr.String())
+	fmt.Fprintln(w, tr.String())
 	done()
 
 	// Seasonal error profile.
-	done = section("Extension: month-by-month MAPE at N=48 (guideline parameters)")
+	done = section(w, "Extension: month-by-month MAPE at N=48 (guideline parameters)")
 	tsn := report.NewTable("", append([]string{"Data set"}, "Jan", "Feb", "Mar", "Apr", "May", "Jun",
 		"Jul", "Aug", "Sep", "Oct", "Nov", "Dec")...)
 	for _, site := range cfg.Sites {
@@ -333,11 +346,11 @@ func run(cfg experiments.Config, quick bool) error {
 		}
 		tsn.AddRow(cells...)
 	}
-	fmt.Println(tsn.String())
+	fmt.Fprintln(w, tsn.String())
 	done()
 
 	// RAM design table.
-	done = section("Extension: predictor RAM on the MSP430F1611 (D=10)")
+	done = section(w, "Extension: predictor RAM on the MSP430F1611 (D=10)")
 	mrows, err := mcu.MemoryTable(core.Params{Alpha: 0.7, D: 10, K: 2})
 	if err != nil {
 		return err
@@ -350,12 +363,12 @@ func run(cfg experiments.Config, quick bool) error {
 		}
 		tm.AddRow(strconv.Itoa(r.N), strconv.Itoa(r.TotalBytes), fits, strconv.Itoa(r.MaxDAtThisN))
 	}
-	fmt.Println(tm.String())
+	fmt.Fprintln(w, tm.String())
 	done()
 
 	if cfg.Store != nil {
 		st := cfg.Store.Stats()
-		fmt.Printf("experiment store: grid %d computed / %d served, eval %d/%d, view %d/%d, series %d/%d\n",
+		fmt.Fprintf(w, "experiment store: grid %d computed / %d served, eval %d/%d, view %d/%d, series %d/%d\n",
 			st.Grid.Misses, st.Grid.Hits+st.Grid.Misses,
 			st.Eval.Misses, st.Eval.Hits+st.Eval.Misses,
 			st.View.Misses, st.View.Hits+st.View.Misses,

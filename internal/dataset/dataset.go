@@ -304,7 +304,9 @@ func ReadCSV(r io.Reader) (*timeseries.Series, error) {
 	return timeseries.New(timeseries.MinutesPerDay/perDay, samples)
 }
 
-// Summary describes a generated trace for diagnostics and EXPERIMENTS.md.
+// Summary describes a generated trace for diagnostics; cmd/solargen
+// -summary prints one per site. Table I itself is dataset.TableI (see
+// README's "Artefact map").
 type Summary struct {
 	Site         string
 	Observations int

@@ -7,64 +7,6 @@ import (
 	"solarpred/internal/core"
 )
 
-func TestErrorBySlot(t *testing.T) {
-	cfg := quick()
-	params := core.Params{Alpha: 0.6, D: 10, K: 2}
-	prof, err := ErrorBySlot(cfg, "SPMD", 48, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof.MAPE) != 48 || len(prof.Samples) != 48 {
-		t.Fatalf("profile dims %d/%d", len(prof.MAPE), len(prof.Samples))
-	}
-	// Night slots must have no in-ROI samples; midday slots must.
-	if prof.Samples[0] != 0 || prof.Samples[47] != 0 {
-		t.Error("midnight slots should be outside the ROI")
-	}
-	var daySamples, total int
-	for j, c := range prof.Samples {
-		total += c
-		if j >= 20 && j <= 28 {
-			daySamples += c
-		}
-	}
-	if total == 0 {
-		t.Fatal("no scored slots at all")
-	}
-	if daySamples == 0 {
-		t.Error("no midday samples")
-	}
-	// Weighted per-slot MAPE must reproduce the overall MAPE.
-	var weighted float64
-	for j := range prof.MAPE {
-		weighted += prof.MAPE[j] * float64(prof.Samples[j])
-	}
-	weighted /= float64(total)
-	e, _, err := cfg.evalFor("SPMD", 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.EvaluateOnline(params, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := weighted - rep.MAPE; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("profile-weighted MAPE %.6f != overall %.6f", weighted, rep.MAPE)
-	}
-}
-
-func TestErrorBySlotValidation(t *testing.T) {
-	bad := quick()
-	bad.Sites = nil
-	if _, err := ErrorBySlot(bad, "SPMD", 48, core.Params{Alpha: 0.5, D: 5, K: 1}); err == nil {
-		t.Error("invalid config accepted")
-	}
-	cfg := quick()
-	if _, err := ErrorBySlot(cfg, "SPMD", 48, core.Params{Alpha: 0.5, D: 99, K: 1}); err == nil {
-		t.Error("D beyond warm-up accepted")
-	}
-}
-
 func TestErrorByDayType(t *testing.T) {
 	cfg := quick()
 	cfg.Days = 80 // enough days to see several of each type

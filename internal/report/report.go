@@ -1,7 +1,7 @@
 // Package report renders experiment results as fixed-width text tables,
-// CSV, Markdown, and ASCII charts. The goal is that every table and
-// figure of the paper can be regenerated as something directly comparable
-// on a terminal and pasteable into EXPERIMENTS.md.
+// ASCII charts and bar charts, so that every table and figure of the
+// paper can be regenerated by cmd/repro as something directly comparable
+// on a terminal (see README's "Artefact map").
 package report
 
 import (
@@ -25,16 +25,6 @@ func NewTable(title string, headers ...string) *Table {
 // (short rows are padded, long rows extend the width computation).
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends a row of formatted cells: each argument is rendered
-// with %v.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprintf("%v", c)
-	}
-	t.AddRow(row...)
 }
 
 // columnWidths returns the display width of each column.
@@ -97,47 +87,6 @@ func (t *Table) String() string {
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
 		writeRow(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as RFC-4180-ish CSV (quotes only when needed).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavoured Markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
-	for _, r := range t.Rows {
-		cells := make([]string, len(t.Headers))
-		copy(cells, r)
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
 	}
 	return b.String()
 }

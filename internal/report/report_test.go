@@ -47,35 +47,6 @@ func TestTableColumnsAlign(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tbl := NewTable("", "N", "Value")
-	tbl.AddRowf(48, 0.158)
-	if tbl.Rows[0][0] != "48" || tbl.Rows[0][1] != "0.158" {
-		t.Errorf("AddRowf row = %v", tbl.Rows[0])
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tbl := NewTable("t", "a", "b")
-	tbl.AddRow("plain", `quo"te`)
-	tbl.AddRow("with,comma", "x")
-	csv := tbl.CSV()
-	want := "a,b\nplain,\"quo\"\"te\"\n\"with,comma\",x\n"
-	if csv != want {
-		t.Errorf("CSV = %q, want %q", csv, want)
-	}
-}
-
-func TestTableMarkdown(t *testing.T) {
-	tbl := NewTable("Ttl", "a", "b")
-	tbl.AddRow("1", "2")
-	md := tbl.Markdown()
-	if !strings.Contains(md, "**Ttl**") || !strings.Contains(md, "| a | b |") ||
-		!strings.Contains(md, "|---|---|") || !strings.Contains(md, "| 1 | 2 |") {
-		t.Errorf("markdown:\n%s", md)
-	}
-}
-
 func TestPercent(t *testing.T) {
 	if Percent(0.158) != "15.80%" {
 		t.Errorf("Percent = %q", Percent(0.158))
