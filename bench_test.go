@@ -29,6 +29,14 @@ import (
 // quickCfg is the shared reduced configuration for the table benches.
 func quickCfg() experiments.Config { return experiments.QuickConfig() }
 
+// fresh returns cfg on a new, empty experiment store, so every iteration
+// of a table bench times the whole pipeline, trace generation included,
+// rather than cache hits.
+func fresh(cfg experiments.Config) experiments.Config {
+	cfg.Store = experiments.NewStore(cfg)
+	return cfg
+}
+
 // --- Table I ---------------------------------------------------------------
 
 func BenchmarkTableI(b *testing.B) {
@@ -49,7 +57,7 @@ func BenchmarkFig2(b *testing.B) {
 	var data *experiments.Fig2Data
 	for i := 0; i < b.N; i++ {
 		var err error
-		data, err = experiments.Fig2(cfg, "SPMD", 6)
+		data, err = experiments.Fig2(fresh(cfg), "SPMD", 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +72,7 @@ func BenchmarkTableII(b *testing.B) {
 	var rows []experiments.TableIIRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.TableII(cfg, 48)
+		rows, err = experiments.TableII(fresh(cfg), 48)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +94,7 @@ func BenchmarkTableIII(b *testing.B) {
 	var rows []experiments.TableIIIRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.TableIII(cfg)
+		rows, err = experiments.TableIII(fresh(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +167,7 @@ func BenchmarkFig7(b *testing.B) {
 	var series []experiments.Fig7Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = experiments.Fig7(cfg, 48)
+		series, err = experiments.Fig7(fresh(cfg), 48)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +184,7 @@ func BenchmarkTableV(b *testing.B) {
 	var rows []experiments.TableVRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.TableV(cfg)
+		rows, err = experiments.TableV(fresh(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,7 +352,7 @@ func BenchmarkBaselineEWMA(b *testing.B) {
 	var rows []experiments.BaselineRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Baselines(cfg, 24, []float64{0.3, 0.5, 0.7})
+		rows, err = experiments.Baselines(fresh(cfg), 24, []float64{0.3, 0.5, 0.7})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,7 +369,7 @@ func BenchmarkTableVI(b *testing.B) {
 	var rows []experiments.TableVIRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.TableVI(cfg)
+		rows, err = experiments.TableVI(fresh(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +388,7 @@ func BenchmarkRobustness(b *testing.B) {
 	var rows []experiments.RobustnessRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Robustness(cfg, 48)
+		rows, err = experiments.Robustness(fresh(cfg), 48)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,19 +1,18 @@
-// Command hwcost reproduces the paper's hardware-cost results on the
-// MSP430F1611 energy model: Table IV (per-activity energies), Fig. 6
-// (prediction-activity overhead versus N), and a trace of the Fig. 5
-// sampling/prediction state machine.
+// Command hwcost prints the paper's Fig. 5: a timeline of the
+// sampling/prediction state machine on the MSP430F1611 energy model, with
+// the full-day energy per phase. cmd/repro prints the other hardware-cost
+// artefacts (Table IV, Fig. 6 and the RAM table).
 //
 // Usage:
 //
-//	hwcost                       # Table IV + Fig. 6 (soft-float model)
-//	hwcost -model fixed-q16      # the optimised fixed-point port
-//	hwcost -trace -n 24          # Fig. 5 timeline excerpt
-//	hwcost -sweep                # per-K prediction energies, both models
+//	hwcost                       # N=48, soft-float model (paper platform)
+//	hwcost -n 24 -model fixed-q16
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"solarpred/internal/core"
@@ -22,50 +21,14 @@ import (
 )
 
 func main() {
-	var (
-		modelName = flag.String("model", "soft-float", "cost model: soft-float (paper platform) or fixed-q16")
-		trace     = flag.Bool("trace", false, "print a Fig. 5 state-machine timeline excerpt")
-		n         = flag.Int("n", 48, "samples per day for -trace")
-		sweep     = flag.Bool("sweep", false, "print prediction energy versus K for both models")
-		memory    = flag.Bool("memory", false, "print the RAM-footprint design table (10 KB F1611 SRAM)")
-	)
+	modelName := flag.String("model", "soft-float", "cost model: soft-float (paper platform) or fixed-q16")
+	n := flag.Int("n", 48, "samples per day")
 	flag.Parse()
 
-	if *memory {
-		if err := printMemory(); err != nil {
-			fmt.Fprintln(os.Stderr, "hwcost:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*modelName, *trace, *n, *sweep); err != nil {
+	if err := run(os.Stdout, *modelName, *n); err != nil {
 		fmt.Fprintln(os.Stderr, "hwcost:", err)
 		os.Exit(1)
 	}
-}
-
-func printMemory() error {
-	params := core.Params{Alpha: 0.7, D: 10, K: 2}
-	rows, err := mcu.MemoryTable(params)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Predictor RAM on the MSP430F1611 (10 KB SRAM, %d B reserved) at D=%d",
-			mcu.SystemReserveBytes, params.D),
-		"N", "bytes", "fits", "max D at this N")
-	for _, r := range rows {
-		fits := "yes"
-		if !r.Fits {
-			fits = "NO"
-		}
-		t.AddRow(fmt.Sprintf("%d", r.N), fmt.Sprintf("%d", r.TotalBytes), fits,
-			fmt.Sprintf("%d", r.MaxDAtThisN))
-	}
-	fmt.Println(t.String())
-	fmt.Println("History storage is the binding constraint: at N=288 the paper's D=20 no")
-	fmt.Println("longer fits, independently reinforcing the D≈10 guideline of Section IV-B.")
-	return nil
 }
 
 func pickModel(name string) (mcu.CostModel, error) {
@@ -79,88 +42,19 @@ func pickModel(name string) (mcu.CostModel, error) {
 	}
 }
 
-func run(modelName string, trace bool, n int, sweep bool) error {
+// run prints the first events of the Fig. 5 timeline at n samples per day
+// and the full-day energy per phase.
+func run(w io.Writer, modelName string, n int) error {
 	model, err := pickModel(modelName)
 	if err != nil {
 		return err
 	}
-	if trace {
-		return printTrace(n, model)
-	}
-	if sweep {
-		return printSweep()
-	}
-	if err := printTableIV(model); err != nil {
-		return err
-	}
-	return printFig6(model)
-}
-
-func printTableIV(model mcu.CostModel) error {
-	rows, err := mcu.TableIV(model)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Table IV: energy consumption of power sampling and prediction (%s)", model.Name),
-		"Hardware Activity", "Energy/Cycle")
-	for _, r := range rows {
-		var v string
-		if r.PerDay {
-			v = fmt.Sprintf("%.2f mJ per day", r.EnergyJ*1e3)
-		} else {
-			v = fmt.Sprintf("%.1f uJ", r.EnergyJ*1e6)
-		}
-		t.AddRow(r.Activity, v)
-	}
-	fmt.Println(t.String())
-	return nil
-}
-
-func printFig6(model mcu.CostModel) error {
-	ns, fractions, err := mcu.Fig6(model)
-	if err != nil {
-		return err
-	}
-	labels := make([]string, len(ns))
-	values := make([]float64, len(fractions))
-	for i := range ns {
-		labels[i] = fmt.Sprintf("N=%d", ns[i])
-		values[i] = fractions[i] * 100
-	}
-	fmt.Println(report.Bars("Fig. 6: prediction-activity overhead vs sleep energy", labels, values, "%", 40))
-	return nil
-}
-
-func printSweep() error {
-	t := report.NewTable("Prediction energy vs K (D=20, a=0.7)",
-		"K", "soft-float", "fixed-q16", "ratio")
-	for k := 1; k <= 7; k++ {
-		p := core.Params{Alpha: 0.7, D: 20, K: k}
-		sf, err := mcu.PredictionEnergyJ(p, mcu.SoftFloat)
-		if err != nil {
-			return err
-		}
-		fx, err := mcu.PredictionEnergyJ(p, mcu.FixedQ16)
-		if err != nil {
-			return err
-		}
-		t.AddRow(fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.2f uJ", sf*1e6),
-			fmt.Sprintf("%.2f uJ", fx*1e6),
-			fmt.Sprintf("%.1fx", sf/fx))
-	}
-	fmt.Println(t.String())
-	return nil
-}
-
-func printTrace(n int, model mcu.CostModel) error {
 	params := core.Params{Alpha: 0.7, D: 20, K: 2}
 	tl, err := mcu.Simulate(n, params, model)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Fig. 5 state machine, N=%d, %s model — first two sampling periods:\n\n", n, model.Name)
+	fmt.Fprintf(w, "Fig. 5 state machine, N=%d, %s model — first two sampling periods:\n\n", n, model.Name)
 	limit := 8
 	if len(tl.Events) < limit {
 		limit = len(tl.Events)
@@ -174,9 +68,9 @@ func printTrace(n int, model mcu.CostModel) error {
 			fmt.Sprintf("%.3g J", e.EnergyJ),
 		)
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 	by := tl.EnergyByPhase()
-	fmt.Printf("full-day totals: sleep %.1f mJ, vref %.2f mJ, adc %.3f mJ, predict %.3f mJ (total %.1f mJ)\n",
+	fmt.Fprintf(w, "full-day totals: sleep %.1f mJ, vref %.2f mJ, adc %.3f mJ, predict %.3f mJ (total %.1f mJ)\n",
 		by[mcu.PhaseDeepSleep]*1e3, by[mcu.PhaseVrefSettle]*1e3,
 		by[mcu.PhaseADCConvert]*1e3, by[mcu.PhasePredict]*1e3, tl.TotalEnergyJ()*1e3)
 	return nil

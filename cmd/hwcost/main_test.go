@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 func TestPickModel(t *testing.T) {
 	m, err := pickModel("soft-float")
@@ -16,21 +20,30 @@ func TestPickModel(t *testing.T) {
 	}
 }
 
+// TestRunSections checks the Fig. 5 output: the timeline header, eight
+// timeline events and the full-day totals line.
 func TestRunSections(t *testing.T) {
-	// Smoke-run every section; output goes to stdout.
-	if err := run("soft-float", false, 48, false); err != nil {
-		t.Errorf("tables: %v", err)
+	var buf bytes.Buffer
+	if err := run(&buf, "fixed-q16", 24); err != nil {
+		t.Fatal(err)
 	}
-	if err := run("fixed-q16", true, 24, false); err != nil {
-		t.Errorf("trace: %v", err)
+	out := buf.String()
+	for _, want := range []string{
+		"Fig. 5 state machine, N=24, fixed-q16 model",
+		"deep-sleep", "vref-settle", "adc-convert", "predict",
+		"full-day totals: sleep ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
-	if err := run("soft-float", false, 48, true); err != nil {
-		t.Errorf("sweep: %v", err)
+	if got := strings.Count(out, " J\n"); got != 8 {
+		t.Errorf("%d timeline events, want 8:\n%s", got, out)
 	}
-	if err := printMemory(); err != nil {
-		t.Errorf("memory: %v", err)
-	}
-	if err := run("nope", false, 48, false); err == nil {
+	if err := run(&buf, "nope", 48); err == nil {
 		t.Error("unknown model accepted by run")
+	}
+	if err := run(&buf, "soft-float", 0); err == nil {
+		t.Error("N=0 accepted by run")
 	}
 }

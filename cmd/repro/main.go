@@ -54,7 +54,6 @@ func newConfig(quick bool, workers int) experiments.Config {
 		cfg = experiments.QuickConfig()
 	}
 	cfg.Workers = workers
-	cfg.Store = experiments.NewStore(cfg)
 	return cfg
 }
 
@@ -366,13 +365,11 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 	fmt.Fprintln(w, tm.String())
 	done()
 
-	if cfg.Store != nil {
-		st := cfg.Store.Stats()
-		fmt.Fprintf(w, "experiment store: grid %d computed / %d served, eval %d/%d, view %d/%d, series %d/%d\n",
-			st.Grid.Misses, st.Grid.Hits+st.Grid.Misses,
-			st.Eval.Misses, st.Eval.Hits+st.Eval.Misses,
-			st.View.Misses, st.View.Hits+st.View.Misses,
-			st.Series.Misses, st.Series.Hits+st.Series.Misses)
-	}
+	st := cfg.Store.Stats()
+	fmt.Fprintf(w, "experiment store: grid %d computed / %d served, eval %d/%d, view %d/%d, series %d/%d\n",
+		st.Grid.Misses, st.Grid.Hits+st.Grid.Misses,
+		st.Eval.Misses, st.Eval.Hits+st.Eval.Misses,
+		st.View.Misses, st.View.Hits+st.View.Misses,
+		st.Series.Misses, st.Series.Hits+st.Series.Misses)
 	return nil
 }

@@ -97,12 +97,9 @@ func chaosScenario(name string) (faults.Config, error) {
 	return found, nil
 }
 
-// newStore builds the daemon's experiment store, corrupting every trace
-// with the chaos scenario when soak mode is on.
-func newStore(cfg experiments.Config, chaos string) (*expstore.Store, error) {
-	if chaos == "" {
-		return experiments.NewStore(cfg), nil
-	}
+// chaosStore builds an experiment store that corrupts every trace with
+// the chaos scenario (soak mode).
+func chaosStore(cfg experiments.Config, chaos string) (*expstore.Store, error) {
 	sc, err := chaosScenario(chaos)
 	if err != nil {
 		return nil, err
@@ -134,11 +131,13 @@ func run(o options) error {
 	if o.days > 0 {
 		cfg.Days = o.days
 	}
-	store, err := newStore(cfg, o.chaos)
-	if err != nil {
-		return err
+	if o.chaos != "" {
+		store, err := chaosStore(cfg, o.chaos)
+		if err != nil {
+			return err
+		}
+		cfg.Store = store
 	}
-	cfg.Store = store
 	svc, err := serve.New(serve.Config{
 		Exp:            cfg,
 		Workers:        o.workers,

@@ -206,7 +206,7 @@ func TestReproducibilityAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestExperimentDriversShareTraces verifies the experiments cache: two
+// TestExperimentDriversShareTraces verifies the experiment store: two
 // drivers touching the same site at the same length must reuse one
 // generated trace (a wall-clock guarantee for cmd/repro).
 func TestExperimentDriversShareTraces(t *testing.T) {

@@ -239,71 +239,6 @@ func WriteCSV(w io.Writer, s *timeseries.Series) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a series previously written by WriteCSV. The resolution
-// is inferred from the per-day sample count of day 1.
-func ReadCSV(r io.Reader) (*timeseries.Series, error) {
-	cr := csv.NewReader(bufio.NewReader(r))
-	cr.FieldsPerRecord = 3
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
-	}
-	if header[0] != "day" || header[1] != "sample" || header[2] != "power_w_m2" {
-		return nil, fmt.Errorf("dataset: unexpected CSV header %v", header)
-	}
-	type key struct{ day, sample int }
-	values := make(map[key]float64)
-	maxDay, maxSample := 0, 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV: %w", err)
-		}
-		day, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: bad day %q: %w", rec[0], err)
-		}
-		sample, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: bad sample %q: %w", rec[1], err)
-		}
-		power, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: bad power %q: %w", rec[2], err)
-		}
-		if day < 1 || sample < 0 {
-			return nil, fmt.Errorf("dataset: invalid indices day=%d sample=%d", day, sample)
-		}
-		values[key{day, sample}] = power
-		if day > maxDay {
-			maxDay = day
-		}
-		if sample > maxSample {
-			maxSample = sample
-		}
-	}
-	if maxDay == 0 {
-		return nil, fmt.Errorf("dataset: CSV contains no samples")
-	}
-	perDay := maxSample + 1
-	if timeseries.MinutesPerDay%perDay != 0 {
-		return nil, fmt.Errorf("dataset: %d samples/day does not correspond to a uniform resolution", perDay)
-	}
-	samples := make([]float64, maxDay*perDay)
-	seen := 0
-	for k, v := range values {
-		samples[(k.day-1)*perDay+k.sample] = v
-		seen++
-	}
-	if seen != len(samples) {
-		return nil, fmt.Errorf("dataset: CSV has %d samples, expected %d (missing rows?)", seen, len(samples))
-	}
-	return timeseries.New(timeseries.MinutesPerDay/perDay, samples)
-}
-
 // Summary describes a generated trace for diagnostics; cmd/solargen
 // -summary prints one per site. Table I itself is dataset.TableI (see
 // README's "Artefact map").

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -233,36 +235,27 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ResolutionMinutes != s.ResolutionMinutes {
-		t.Fatalf("resolution = %d, want %d", got.ResolutionMinutes, s.ResolutionMinutes)
+	if got := strings.Join(recs[0], ","); got != "day,sample,power_w_m2" {
+		t.Fatalf("header = %q", got)
 	}
-	if len(got.Samples) != len(s.Samples) {
-		t.Fatalf("samples = %d, want %d", len(got.Samples), len(s.Samples))
+	if len(recs)-1 != len(s.Samples) {
+		t.Fatalf("rows = %d, want %d", len(recs)-1, len(s.Samples))
 	}
-	for i := range s.Samples {
-		if math.Abs(got.Samples[i]-s.Samples[i]) > 0.001 { // CSV rounds to 3 decimals
-			t.Fatalf("sample %d: %v vs %v", i, got.Samples[i], s.Samples[i])
+	perDay := s.SamplesPerDay()
+	for i, rec := range recs[1:] {
+		if want := []string{strconv.Itoa(i/perDay + 1), strconv.Itoa(i % perDay)}; rec[0] != want[0] || rec[1] != want[1] {
+			t.Fatalf("row %d indices = %v, want %v", i, rec[:2], want)
 		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad header":     "a,b,c\n1,0,5\n",
-		"empty":          "day,sample,power_w_m2\n",
-		"bad day":        "day,sample,power_w_m2\nx,0,5\n",
-		"bad sample":     "day,sample,power_w_m2\n1,x,5\n",
-		"bad power":      "day,sample,power_w_m2\n1,0,x\n",
-		"zero day":       "day,sample,power_w_m2\n0,0,5\n",
-		"missing sample": "day,sample,power_w_m2\n1,0,5\n2,0,5\n2,1,5\n",
-	}
-	for name, data := range cases {
-		if _, err := ReadCSV(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		got, err := strconv.ParseFloat(rec[2], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-s.Samples[i]) > 0.001 { // CSV rounds to 3 decimals
+			t.Fatalf("sample %d: %v vs %v", i, got, s.Samples[i])
 		}
 	}
 }

@@ -84,7 +84,7 @@ func TableVI(cfg Config) ([]TableVIRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+			res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
 			if err != nil {
 				return nil, err
 			}

@@ -39,13 +39,12 @@ type Config struct {
 	// index regardless of the worker count, so driver output is
 	// deterministic for any setting.
 	Workers int
-	// Store, when non-nil, memoises slot views, evaluators and grid-search
+	// Store memoises traces, slot views, evaluators and grid-search
 	// results across every driver sharing it: each (site, N, space, ref)
-	// tuple is grid-searched exactly once per process, coarser slot views
-	// derive from finer cached ones through the resolution pyramid, and
-	// concurrent workers deduplicate via single flight. A nil Store makes
-	// every driver compute from scratch (the reference behaviour the
-	// equivalence tests pin the store against).
+	// tuple is grid-searched exactly once per process, slot views derive
+	// from the trace through the resolution pyramid, and concurrent
+	// workers deduplicate via single flight. It is required; DefaultConfig
+	// and QuickConfig each set a fresh one (see NewStore).
 	Store *expstore.Store
 }
 
@@ -141,21 +140,25 @@ func crossSitesNs(sites []string, ns []int) []siteN {
 }
 
 // DefaultConfig reproduces the paper's full setup: six sites, 365 days,
-// days 21–365 scored, N ∈ {288, 96, 72, 48, 24}, exhaustive grid.
+// days 21–365 scored, N ∈ {288, 96, 72, 48, 24}, exhaustive grid, with a
+// fresh experiment store.
 func DefaultConfig() Config {
-	return Config{
+	cfg := Config{
 		Sites:      dataset.SiteNames(),
 		Days:       365,
 		WarmupDays: metrics.DefaultWarmupDays,
 		Ns:         []int{288, 96, 72, 48, 24},
 		Space:      optimize.DefaultSpace(),
 	}
+	cfg.Store = NewStore(cfg)
+	return cfg
 }
 
 // QuickConfig is a reduced configuration for benches and smoke tests:
-// fewer days, a thinner grid, and a shorter warm-up (which also caps D).
+// fewer days, a thinner grid, and a shorter warm-up (which also caps D),
+// with a fresh experiment store.
 func QuickConfig() Config {
-	return Config{
+	cfg := Config{
 		Sites:      []string{"SPMD", "NPCS"},
 		Days:       60,
 		WarmupDays: 12,
@@ -166,6 +169,8 @@ func QuickConfig() Config {
 			Ks:     []int{1, 2, 3, 6},
 		},
 	}
+	cfg.Store = NewStore(cfg)
+	return cfg
 }
 
 // Validate checks the configuration.
@@ -195,73 +200,32 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count %d", c.Workers)
 	}
+	if c.Store == nil {
+		return fmt.Errorf("experiments: no experiment store")
+	}
 	return nil
 }
 
-// traceCache memoises generated site traces per (site, days) so the many
-// drivers in one process do not regenerate the same year.
-var traceCache sync.Map // key string -> *timeseries.Series
-
-// Trace returns the (cached) generated series for a site name at the
-// configured length, from the experiment store when one is set.
+// Trace returns the store's generated series for a site name at the
+// configured length.
 func (c Config) Trace(siteName string) (*timeseries.Series, error) {
-	if c.Store != nil {
-		return c.Store.Series(siteName, c.Days)
-	}
-	key := fmt.Sprintf("%s/%d", siteName, c.Days)
-	if v, ok := traceCache.Load(key); ok {
-		return v.(*timeseries.Series), nil
-	}
-	site, err := dataset.SiteByName(siteName)
-	if err != nil {
-		return nil, err
-	}
-	series, err := dataset.GenerateDays(site, c.Days)
-	if err != nil {
-		return nil, err
-	}
-	traceCache.Store(key, series)
-	return series, nil
+	return c.Store.Series(siteName, c.Days)
 }
 
-// evalFor builds the evaluator for a site at sampling rate n. It returns
-// (nil, false, nil) when the slotting is undefined for the site's
-// resolution (the paper's "N=288 is not defined for 5-minute data sets"
-// would be M<1; in practice N=288 on 5-minute data gives M=1 which is
-// *defined* but degenerate — the caller decides how to report it).
+// evalFor returns the store's evaluator for a site at sampling rate n,
+// together with its slot view.
 func (c Config) evalFor(siteName string, n int) (*optimize.Eval, *timeseries.SlotView, error) {
-	if c.Store != nil {
-		e, err := c.Store.Eval(siteName, c.Days, n, c.EvalOptions())
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, e.View(), nil
-	}
-	series, err := c.Trace(siteName)
+	e, err := c.Store.Eval(siteName, c.Days, n, c.EvalOptions())
 	if err != nil {
 		return nil, nil, err
 	}
-	view, err := series.Slot(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, err := optimize.NewEval(view, optimize.WithWarmupDays(c.WarmupDays))
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, view, nil
+	return e, e.View(), nil
 }
 
-// gridFor returns the grid-search result for (site, n, ref): through the
-// store — computed once per process and shared by every driver — when one
-// is configured, or on the caller's evaluator (from evalFor, so one
-// evaluator serves every reference and follow-up study of a cell)
-// otherwise.
-func (c Config) gridFor(e *optimize.Eval, siteName string, n int, ref optimize.RefKind) (*optimize.SearchResult, error) {
-	if c.Store != nil {
-		return c.Store.Grid(siteName, c.Days, n, c.EvalOptions(), c.Space, ref)
-	}
-	return e.GridSearch(c.Space, ref)
+// gridFor returns the store's grid-search result for (site, n, ref):
+// computed once per process and shared by every driver.
+func (c Config) gridFor(siteName string, n int, ref optimize.RefKind) (*optimize.SearchResult, error) {
+	return c.Store.Grid(siteName, c.Days, n, c.EvalOptions(), c.Space, ref)
 }
 
 // Degenerate reports whether sampling rate n equals the site's recording
@@ -298,15 +262,15 @@ func TableII(cfg Config, n int) ([]TableIIRow, error) {
 	rows := make([]TableIIRow, len(cfg.Sites))
 	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
 		site := cfg.Sites[i]
-		e, _, err := cfg.evalFor(site, n)
+		// Fetched only to keep the store counters cmd/repro prints.
+		if _, _, err := cfg.evalFor(site, n); err != nil {
+			return err
+		}
+		prime, err := cfg.gridFor(site, n, optimize.RefSlotStart)
 		if err != nil {
 			return err
 		}
-		prime, err := cfg.gridFor(e, site, n, optimize.RefSlotStart)
-		if err != nil {
-			return err
-		}
-		mean, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+		mean, err := cfg.gridFor(site, n, optimize.RefSlotMean)
 		if err != nil {
 			return err
 		}
@@ -377,11 +341,11 @@ func tableIIIRow(cfg Config, site string, n int) (TableIIIRow, error) {
 		row.MAPEAtK2 = 0
 		return row, nil
 	}
-	e, _, err := cfg.evalFor(site, n)
-	if err != nil {
+	// Fetched only to keep the store counters cmd/repro prints.
+	if _, _, err := cfg.evalFor(site, n); err != nil {
 		return row, err
 	}
-	res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+	res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
 	if err != nil {
 		return row, err
 	}
@@ -416,11 +380,11 @@ func Fig7(cfg Config, n int) ([]Fig7Series, error) {
 	out := make([]Fig7Series, len(cfg.Sites))
 	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
 		site := cfg.Sites[i]
-		e, _, err := cfg.evalFor(site, n)
-		if err != nil {
+		// Fetched only to keep the store counters cmd/repro prints.
+		if _, _, err := cfg.evalFor(site, n); err != nil {
 			return err
 		}
-		res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+		res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
 		if err != nil {
 			return err
 		}
@@ -487,7 +451,7 @@ func TableV(cfg Config) ([]TableVRow, error) {
 		if err != nil {
 			return err
 		}
-		res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+		res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
 		if err != nil {
 			return err
 		}
@@ -608,7 +572,7 @@ func Guidelines(cfg Config, n int) ([]Guideline, error) {
 		if err != nil {
 			return err
 		}
-		res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+		res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
 		if err != nil {
 			return err
 		}
@@ -665,7 +629,7 @@ func Baselines(cfg Config, n int, betas []float64) ([]BaselineRow, error) {
 		if err != nil {
 			return err
 		}
-		res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+		res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
 		if err != nil {
 			return err
 		}

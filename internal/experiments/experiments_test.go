@@ -9,9 +9,9 @@ import (
 )
 
 // quick returns a minimal configuration exercising the full pipeline
-// cheaply.
+// cheaply, with its own experiment store.
 func quick() Config {
-	return Config{
+	cfg := Config{
 		Sites:      []string{"SPMD", "NPCS"},
 		Days:       40,
 		WarmupDays: 10,
@@ -22,6 +22,8 @@ func quick() Config {
 			Ks:     []int{1, 2, 3},
 		},
 	}
+	cfg.Store = NewStore(cfg)
+	return cfg
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -55,6 +57,11 @@ func TestConfigValidate(t *testing.T) {
 	bad.Space.Ds = []int{15}
 	if err := bad.Validate(); err == nil {
 		t.Error("D beyond warm-up accepted")
+	}
+	bad = quick()
+	bad.Store = nil
+	if err := bad.Validate(); err == nil {
+		t.Error("nil store accepted")
 	}
 }
 

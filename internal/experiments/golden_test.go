@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures under
 
 // goldenTolerance is the field-by-field agreement the fixtures pin. It
 // matches the repo's established float-association tolerance (online vs
-// vectorized evaluation, store-on vs store-off).
+// vectorized evaluation).
 const goldenTolerance = 1e-9
 
 // goldenConfig returns the quick-scale configuration the fixtures pin,
@@ -33,7 +33,7 @@ func goldenConfig(t *testing.T) Config {
 	return cfg
 }
 
-var sharedGoldenStore = NewStore(QuickConfig())
+var sharedGoldenStore = QuickConfig().Store
 
 // checkGolden compares got against the named fixture field by field
 // within goldenTolerance, or rewrites the fixture under -update.

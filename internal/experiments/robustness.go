@@ -60,14 +60,10 @@ func Robustness(cfg Config, n int) ([]RobustnessRow, error) {
 				return nil, err
 			}
 			// Score the faulty predictor inputs against the clean
-			// references: Start comes from the corrupted trace, Mean
-			// from the clean one. Rebuild the prefix columns so they
-			// describe the hybrid's own columns (the copied MeanPrefix
-			// would otherwise describe the corrupted means).
+			// references: Start (and its prefix column) comes from the
+			// corrupted trace, Mean from the clean one.
 			hybrid := *faultyView
 			hybrid.Mean = cleanView.Mean
-			hybrid.StartPrefix, hybrid.MeanPrefix = nil, nil
-			hybrid.BuildPrefix()
 			eval, err := optimize.NewEval(&hybrid, optimize.WithWarmupDays(cfg.WarmupDays))
 			if err != nil {
 				return nil, err

@@ -1,41 +1,39 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"solarpred/internal/dataset"
+	"solarpred/internal/optimize"
 )
 
-// compareAsJSON flattens two row slices through JSON and compares them
-// field by field within goldenTolerance, reusing the golden comparator.
-func compareAsJSON(t *testing.T, loc string, got, want any) {
+// requireSameJSON fails unless got and want marshal to identical JSON.
+// encoding/json prints floats in shortest round-trip form, so equal bytes
+// mean bit-identical values.
+func requireSameJSON(t *testing.T, loc string, got, want any) {
 	t.Helper()
 	g, err := json.Marshal(got)
 	if err != nil {
-		t.Fatalf("%s: marshal live: %v", loc, err)
+		t.Fatalf("%s: marshal got: %v", loc, err)
 	}
 	w, err := json.Marshal(want)
 	if err != nil {
-		t.Fatalf("%s: marshal reference: %v", loc, err)
+		t.Fatalf("%s: marshal want: %v", loc, err)
 	}
-	var gt, wt any
-	if err := json.Unmarshal(g, &gt); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(g, w) {
+		t.Errorf("%s differs:\ngot:  %s\nwant: %s", loc, g, w)
 	}
-	if err := json.Unmarshal(w, &wt); err != nil {
-		t.Fatal(err)
-	}
-	compareTrees(t, loc, gt, wt)
 }
 
-// TestStoreOnOffEquivalence proves the memoization layer is behaviour
-// preserving: every driver must produce the same rows with and without a
-// store (pyramid-derived views and shared grid results included), cell
-// for cell within the association tolerance.
+// TestStoreOnOffEquivalence proves that sharing a store is behaviour
+// preserving: every driver run on one store that the drivers before it
+// have already warmed ("on") produces rows bit-identical to the same
+// driver on a fresh store of its own ("off").
 func TestStoreOnOffEquivalence(t *testing.T) {
-	off := QuickConfig()
-	on := QuickConfig()
-	on.Store = NewStore(on)
+	shared := QuickConfig()
 
 	type driver struct {
 		name string
@@ -51,16 +49,62 @@ func TestStoreOnOffEquivalence(t *testing.T) {
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			want, err := d.run(off)
+			want, err := d.run(QuickConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := d.run(on)
+			got, err := d.run(shared)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareAsJSON(t, d.name, got, want)
+			requireSameJSON(t, d.name, got, want)
 		})
+	}
+	if st := shared.Store.Stats(); st.Grid.Hits == 0 {
+		t.Error("the shared store served no grid twice")
+	}
+}
+
+// TestStoreGridMatchesDirectSearch pins every grid the repro drivers
+// read from the store against an independent computation that shares
+// nothing with it: a freshly generated trace, slotted directly and
+// grid-searched on its own evaluator. Every cell must be bit-identical.
+func TestStoreGridMatchesDirectSearch(t *testing.T) {
+	cfg := QuickConfig()
+	for _, tu := range gridTuples(t, cfg, 48) {
+		got, err := cfg.gridFor(tu.site, tu.n, tu.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site, err := dataset.SiteByName(tu.site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series, err := dataset.GenerateDays(site, cfg.Days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := series.Slot(tu.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := optimize.NewEval(view, optimize.WithWarmupDays(cfg.WarmupDays))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.GridSearch(cfg.Space, tu.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Best != want.Best || len(got.Cells) != len(want.Cells) {
+			t.Fatalf("%+v: best %+v (%d cells), direct %+v (%d cells)",
+				tu, got.Best, len(got.Cells), want.Best, len(want.Cells))
+		}
+		for i := range want.Cells {
+			if got.Cells[i] != want.Cells[i] {
+				t.Fatalf("%+v: cell %d = %+v, direct %+v", tu, i, got.Cells[i], want.Cells[i])
+			}
+		}
 	}
 }
 
@@ -70,7 +114,6 @@ func TestStoreOnOffEquivalence(t *testing.T) {
 // sequential sums Series.Slot performs.
 func TestStoreViewsMatchDirectSlotting(t *testing.T) {
 	cfg := QuickConfig()
-	cfg.Store = NewStore(cfg)
 	for _, site := range cfg.Sites {
 		series, err := cfg.Trace(site)
 		if err != nil {
@@ -97,19 +140,33 @@ func TestStoreViewsMatchDirectSlotting(t *testing.T) {
 				}
 			}
 			if !view.HasPrefix() {
-				t.Fatalf("%s N=%d: store view lacks prefix columns", site, n)
+				t.Fatalf("%s N=%d: store view lacks the prefix column", site, n)
 			}
 		}
 	}
 }
 
-// expectedGridTuples counts the distinct (site, N, ref) grid tuples the
-// repro driver set needs at sampling rate n48: one RefSlotMean grid per
+// gridTuple is one (site, N, ref) grid-search tuple.
+type gridTuple struct {
+	site string
+	n    int
+	ref  optimize.RefKind
+}
+
+// gridTuples lists the distinct (site, N, ref) grid tuples the repro
+// driver set needs at sampling rate n48: one RefSlotMean grid per
 // non-degenerate (site, N) plus one per (site, n48) regardless of Ns, and
 // one RefSlotStart grid per (site, n48) for Table II's dual optimisation.
-func expectedGridTuples(t *testing.T, cfg Config, n48 int) int {
+func gridTuples(t *testing.T, cfg Config, n48 int) []gridTuple {
 	t.Helper()
-	mean := map[[2]any]bool{}
+	var out []gridTuple
+	seen := map[gridTuple]bool{}
+	add := func(tu gridTuple) {
+		if !seen[tu] {
+			seen[tu] = true
+			out = append(out, tu)
+		}
+	}
 	for _, site := range cfg.Sites {
 		for _, n := range cfg.Ns {
 			deg, err := Degenerate(site, n)
@@ -117,12 +174,13 @@ func expectedGridTuples(t *testing.T, cfg Config, n48 int) int {
 				t.Fatal(err)
 			}
 			if !deg {
-				mean[[2]any{site, n}] = true
+				add(gridTuple{site, n, optimize.RefSlotMean})
 			}
 		}
-		mean[[2]any{site, n48}] = true
+		add(gridTuple{site, n48, optimize.RefSlotMean})
+		add(gridTuple{site, n48, optimize.RefSlotStart})
 	}
-	return len(mean) + len(cfg.Sites) // + RefSlotStart at n48 per site
+	return out
 }
 
 // TestReproDriversGridSearchOncePerTuple runs the full quick-scale repro
@@ -134,7 +192,6 @@ func expectedGridTuples(t *testing.T, cfg Config, n48 int) int {
 func TestReproDriversGridSearchOncePerTuple(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Workers = 4
-	cfg.Store = NewStore(cfg)
 	const n48 = 48
 
 	drivers := []func() error{
@@ -163,7 +220,7 @@ func TestReproDriversGridSearchOncePerTuple(t *testing.T) {
 	}
 
 	st := cfg.Store.Stats()
-	want := uint64(expectedGridTuples(t, cfg, n48))
+	want := uint64(len(gridTuples(t, cfg, n48)))
 	if st.Grid.Misses != want {
 		t.Errorf("grid searches computed = %d, want exactly %d (one per tuple)", st.Grid.Misses, want)
 	}
@@ -187,9 +244,8 @@ func TestReproDriversGridSearchOncePerTuple(t *testing.T) {
 		t.Errorf("second pass recomputed grids: %d → %d", st.Grid.Misses, again.Grid.Misses)
 	}
 
-	// And the warm rows still match a cold store-off run exactly.
-	off := QuickConfig()
-	want3, err := TableIII(off)
+	// And the warm rows still match a run on a fresh store bit for bit.
+	want3, err := TableIII(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +253,5 @@ func TestReproDriversGridSearchOncePerTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareAsJSON(t, "TableIII(warm)", got3, want3)
+	requireSameJSON(t, "TableIII(warm)", got3, want3)
 }

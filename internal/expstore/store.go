@@ -137,6 +137,9 @@ const (
 	KindView
 	KindEval
 	KindGrid
+	// kindPyramid counts the per-series resolution pyramids, an
+	// implementation detail of view derivation that Stats does not report.
+	kindPyramid
 	numKinds
 )
 
@@ -292,35 +295,20 @@ func (s *Store) Series(site string, days int) (*timeseries.Series, error) {
 	return v.(*timeseries.Series), nil
 }
 
-// pyramid returns the cached resolution pyramid for (site, days). Pyramid
-// construction rides the view counters' flight map but is not itself
-// counted: it is an implementation detail of view derivation.
+// pyramid returns the cached resolution pyramid for (site, days).
 func (s *Store) pyramid(site string, days int) (*timeseries.Pyramid, error) {
 	key := fmt.Sprintf("pyramid|%s|%d", site, days)
-	s.mu.Lock()
-	f, ok := s.flights[key]
-	if !ok {
-		f = &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.mu.Unlock()
-		panicked := s.runFlight(key, f, func() (any, error) {
-			series, err := s.Series(site, days)
-			if err != nil {
-				return nil, err
-			}
-			return timeseries.NewPyramid(series, s.ladder)
-		})
-		if panicked != nil {
-			panic(panicked)
+	v, err := s.do(kindPyramid, key, func() (any, error) {
+		series, err := s.Series(site, days)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		s.mu.Unlock()
-		<-f.done
+		return timeseries.NewPyramid(series, s.ladder)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	return f.val.(*timeseries.Pyramid), nil
+	return v.(*timeseries.Pyramid), nil
 }
 
 // View returns the cached slot view for (site, days, n), derived through

@@ -124,28 +124,3 @@ func Div(a, b Q) Q {
 	}
 	return sat(n / int64(b))
 }
-
-// Clamp limits q to [lo, hi].
-func Clamp(q, lo, hi Q) Q {
-	if q < lo {
-		return lo
-	}
-	if q > hi {
-		return hi
-	}
-	return q
-}
-
-// MulDiv returns a·b/c without intermediate precision loss, saturating on
-// overflow. It is the primitive for the η = ẽ/μ ratios scaled by weights.
-func MulDiv(a, b, c Q) Q {
-	if c == 0 {
-		if (a >= 0) == (b >= 0) {
-			return Max
-		}
-		return Min
-	}
-	p := int64(a) * int64(b) // Q32.32
-	q := p / int64(c)        // back to Q16.16
-	return sat(q)
-}

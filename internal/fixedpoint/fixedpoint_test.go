@@ -124,39 +124,6 @@ func TestDiv(t *testing.T) {
 	}
 }
 
-func TestMulDiv(t *testing.T) {
-	// (3 * 4) / 2 = 6 exactly, no intermediate truncation.
-	if MulDiv(FromInt(3), FromInt(4), FromInt(2)) != FromInt(6) {
-		t.Error("3*4/2")
-	}
-	// Tiny a·b that would vanish under Mul-then-Div survives MulDiv.
-	a := FromFloat(0.001)
-	b := FromFloat(0.002)
-	c := FromFloat(0.004)
-	got := MulDiv(a, b, c).Float()
-	if math.Abs(got-0.0005) > 0.0002 {
-		t.Errorf("MulDiv precision: got %v, want ≈0.0005", got)
-	}
-	if MulDiv(One, One, 0) != Max {
-		t.Error("MulDiv by zero saturates")
-	}
-	if MulDiv(Neg(One), One, 0) != Min {
-		t.Error("MulDiv by zero saturates negative")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(FromInt(5), 0, One) != One {
-		t.Error("clamp high")
-	}
-	if Clamp(FromInt(-5), 0, One) != 0 {
-		t.Error("clamp low")
-	}
-	if Clamp(One/2, 0, One) != One/2 {
-		t.Error("clamp inside")
-	}
-}
-
 func TestMulCommutes(t *testing.T) {
 	f := func(a, b int32) bool {
 		qa, qb := Q(a), Q(b)

@@ -282,16 +282,6 @@ func (k *Kernel) Predict() (float64, error) {
 	return pred.Float(), nil
 }
 
-// PredictCycles runs one Predict and returns the prediction together
-// with its cycle cost under the model.
-func (k *Kernel) PredictCycles(m CostModel) (pred float64, cycles int, err error) {
-	p, err := k.Predict()
-	if err != nil {
-		return 0, 0, err
-	}
-	return p, k.ops.Cycles(m), nil
-}
-
 // TypicalPredictionCounter returns the operation counts of a steady-state
 // prediction for the given parameters without building a history: it
 // charges the ΦK loop (K ratio divisions, clamps, weighted accumulation),

@@ -10,7 +10,7 @@
 //   - the online path drives internal/core.Predictor slot by slot exactly
 //     as a deployed node would;
 //   - the vectorized path is a precomputed, share-everything engine:
-//     μD costs O(1) via the slot view's per-slot prefix-sum columns, the
+//     μD costs O(1) via the slot view's per-slot prefix-sum column, the
 //     region-of-interest filter is resolved once per evaluator so night
 //     slots are never evaluated at all, the brightness ratios η feeding
 //     ΦK are cached per history depth D and shared by every K and every α
@@ -80,8 +80,8 @@ type Eval struct {
 	view *timeseries.SlotView
 	// prefix[(d)*N + j] for d in [0, days] is the sum of Start[d'*N+j]
 	// over d' < d: a per-slot prefix over days, so a D-day window sum is
-	// two lookups. It aliases view.StartPrefix when the view carries its
-	// prefix columns (the normal case) and is built locally otherwise.
+	// two lookups. It aliases view.StartPrefix when the view carries it
+	// (the normal case), or that of a private copy built by BuildPrefix.
 	prefix []float64
 	// peakMean and peakStart are the trace peaks used for the ROI
 	// threshold under each reference kind.
@@ -172,7 +172,7 @@ func WithEtaMax(max float64) Option {
 
 // NewEval prepares an evaluator for the slot view. The evaluator
 // precomputes peaks, the region-of-interest index and (via the view's
-// prefix columns) windowed-mean state at construction; the view must not
+// prefix column) windowed-mean state at construction; the view must not
 // be mutated afterwards — rebuild the evaluator after changing a view's
 // columns, or the precomputed state would describe the old data.
 func NewEval(view *timeseries.SlotView, opts ...Option) (*Eval, error) {
@@ -199,19 +199,13 @@ func NewEval(view *timeseries.SlotView, opts ...Option) (*Eval, error) {
 	if e.etaMax <= 0 || math.IsNaN(e.etaMax) {
 		return nil, fmt.Errorf("optimize: eta clamp %v must be positive", e.etaMax)
 	}
-	n := view.N
-	days := view.DaysCount
-	if view.HasPrefix() {
-		e.prefix = view.StartPrefix
-	} else {
-		// Hand-assembled view without prefix columns: build a local copy
+	e.prefix = view.StartPrefix
+	if !view.HasPrefix() {
+		// Hand-assembled view without a prefix column: build it on a copy
 		// rather than mutating a possibly shared view.
-		e.prefix = make([]float64, (days+1)*n)
-		for d := 0; d < days; d++ {
-			for j := 0; j < n; j++ {
-				e.prefix[(d+1)*n+j] = e.prefix[d*n+j] + view.Start[d*n+j]
-			}
-		}
+		cp := *view
+		cp.BuildPrefix()
+		e.prefix = cp.StartPrefix
 	}
 	for _, ref := range []RefKind{RefSlotMean, RefSlotStart} {
 		e.roi[ref] = e.buildROI(ref)

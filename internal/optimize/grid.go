@@ -73,11 +73,6 @@ type SearchResult struct {
 	Cells []Cell
 }
 
-// MinForD returns the minimum-error cell among those with the given D.
-func (r *SearchResult) MinForD(d int) (Cell, bool) {
-	return r.minWhere(func(c Cell) bool { return c.Params.D == d })
-}
-
 // MinForK returns the minimum-error cell among those with the given K.
 func (r *SearchResult) MinForK(k int) (Cell, bool) {
 	return r.minWhere(func(c Cell) bool { return c.Params.K == k })

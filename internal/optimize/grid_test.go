@@ -187,28 +187,21 @@ func TestGridSearchValidation(t *testing.T) {
 	}
 }
 
-func TestMinForDAndK(t *testing.T) {
+func TestMinForK(t *testing.T) {
 	view := testView(t, "SPMD", 30, 24)
 	e := newEval(t, view, WithWarmupDays(10))
 	res, err := e.GridSearch(smallSpace(), RefSlotMean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := res.MinForD(5)
-	if !ok || c.Params.D != 5 {
-		t.Errorf("MinForD(5) = %+v, %v", c, ok)
-	}
-	for _, cell := range res.Cells {
-		if cell.Params.D == 5 && cell.Report.MAPE < c.Report.MAPE {
-			t.Fatal("MinForD not minimal")
-		}
-	}
 	k, ok := res.MinForK(2)
 	if !ok || k.Params.K != 2 {
 		t.Errorf("MinForK(2) = %+v, %v", k, ok)
 	}
-	if _, ok := res.MinForD(99); ok {
-		t.Error("MinForD(99) should not exist")
+	for _, cell := range res.Cells {
+		if cell.Params.K == 2 && cell.Report.MAPE < k.Report.MAPE {
+			t.Fatal("MinForK not minimal")
+		}
 	}
 	if _, ok := res.MinForK(99); ok {
 		t.Error("MinForK(99) should not exist")

@@ -82,8 +82,9 @@ const (
 // Config scopes a Service.
 type Config struct {
 	// Exp fixes the data universe the daemon serves: sites, trace length,
-	// warm-up, sampling-rate ladder and default search space. If Exp.Store
-	// is nil, New builds one over the dataset generator.
+	// warm-up, sampling-rate ladder and default search space. Its Store
+	// (required, as experiments.Config.Validate checks) is the one
+	// experiment store every request reads.
 	Exp experiments.Config
 	// Workers bounds how many store computations the batcher runs
 	// concurrently; 0 means GOMAXPROCS.
@@ -152,11 +153,6 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.Exp.Validate(); err != nil {
 		return nil, err
 	}
-	store := cfg.Exp.Store
-	if store == nil {
-		store = experiments.NewStore(cfg.Exp)
-		cfg.Exp.Store = store
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -185,7 +181,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:            cfg.Exp,
-		store:          store,
+		store:          cfg.Exp.Store,
 		batcher:        NewBatcher(workers),
 		started:        time.Now(),
 		requestTimeout: cfg.RequestTimeout,

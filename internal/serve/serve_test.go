@@ -24,7 +24,6 @@ import (
 func testConfig() experiments.Config {
 	cfg := experiments.QuickConfig()
 	cfg.Days = 30
-	cfg.Store = experiments.NewStore(cfg)
 	return cfg
 }
 
@@ -668,16 +667,20 @@ func TestServiceNewAndDraining(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a zero config")
 	}
-	// A nil store is built from the experiment config.
-	cfg := experiments.QuickConfig()
-	cfg.Days = 30
+	// The service reads the experiment config's store; it builds none.
+	cfg := testConfig()
+	cfg.Store = nil
+	if _, err := New(Config{Exp: cfg}); err == nil {
+		t.Fatal("New accepted a config without a store")
+	}
+	cfg = testConfig()
 	svc, err := New(Config{Exp: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if svc.Store() == nil {
-		t.Fatal("service did not build a store")
+	if svc.Store() != cfg.Store {
+		t.Fatal("service does not read the config's store")
 	}
 	if svc.Draining() {
 		t.Fatal("fresh service reports draining")

@@ -205,21 +205,3 @@ func ClearSkyDay(site Site, doy int, resolutionMinutes int, out []float64) error
 	}
 	return nil
 }
-
-// ClearnessIndex returns GHI divided by the extraterrestrial horizontal
-// irradiance, clamped to [0, 1.2] (cloud-edge enhancement can slightly
-// exceed 1). Zero elevation yields zero.
-func ClearnessIndex(doy int, elevation, ghi float64) float64 {
-	ext := ExtraterrestrialHorizontal(doy, elevation)
-	if ext <= 0 {
-		return 0
-	}
-	k := ghi / ext
-	if k < 0 {
-		return 0
-	}
-	if k > 1.2 {
-		return 1.2
-	}
-	return k
-}

@@ -246,22 +246,6 @@ func absInt(x int) int {
 	return x
 }
 
-func TestClearnessIndex(t *testing.T) {
-	if ClearnessIndex(100, 0, 500) != 0 {
-		t.Error("zero elevation clearness must be 0")
-	}
-	k := ClearnessIndex(172, math.Pi/4, 600)
-	if k <= 0 || k > 1.2 {
-		t.Errorf("clearness = %v", k)
-	}
-	if ClearnessIndex(172, math.Pi/4, -50) != 0 {
-		t.Error("negative GHI clamps to 0")
-	}
-	if ClearnessIndex(172, math.Pi/2, 1e6) != 1.2 {
-		t.Error("clearness must clamp at 1.2")
-	}
-}
-
 func TestClearSkyAnnualEnergyCurve(t *testing.T) {
 	// Integrated daily clear-sky energy must peak in summer and trough in
 	// winter for a northern mid-latitude site.

@@ -18,7 +18,7 @@ import (
 // samples) the aggregation performs the same sequential sums as
 // Series.Slot and the result is bit-identical to direct slotting. The
 // Start column is bit-identical in either case. The derived view carries
-// freshly built prefix-sum columns.
+// a freshly built prefix-sum column.
 func (v *SlotView) Coarsen(n int) (*SlotView, error) {
 	if n <= 0 || n >= v.N || v.N%n != 0 {
 		return nil, fmt.Errorf("%w: cannot coarsen %d slots/day to %d", ErrSlotting, v.N, n)
@@ -69,8 +69,8 @@ func (v *SlotView) Coarsen(n int) (*SlotView, error) {
 // error).
 //
 // All methods are safe for concurrent use. Memory is bounded by the set
-// of distinct rates requested: one view holds four float64 columns of
-// days x n (plus two prefix rows), and nothing is ever evicted.
+// of distinct rates requested: one view holds three float64 columns of
+// days x n (plus one prefix row), and nothing is ever evicted.
 type Pyramid struct {
 	series *Series
 	// base is the prefix-free unit slotting whose columns alias the raw

@@ -43,7 +43,7 @@ func TestCoarsenMatchesDirectSlotting(t *testing.T) {
 			t.Fatalf("n=%d: geometry %+v vs %+v", n, derived, direct)
 		}
 		if !derived.HasPrefix() {
-			t.Fatalf("n=%d: derived view lacks prefix columns", n)
+			t.Fatalf("n=%d: derived view lacks the prefix column", n)
 		}
 		for i := range direct.Start {
 			if derived.Start[i] != direct.Start[i] {
@@ -121,7 +121,7 @@ func TestPyramidLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !v.HasPrefix() {
-			t.Fatalf("n=%d: pyramid view lacks prefix columns", n)
+			t.Fatalf("n=%d: pyramid view lacks the prefix column", n)
 		}
 		// Deriving from the M==1 base is bit-identical to direct slotting.
 		for i := range direct.Mean {

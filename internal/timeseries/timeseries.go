@@ -75,19 +75,6 @@ func (s *Series) At(d, i int) (float64, error) {
 // Peak returns the maximum sample in the series (zero for empty series).
 func (s *Series) Peak() float64 { return maxOrZero(s.Samples) }
 
-// Clip returns a new Series containing days [from, to) of s. The sample
-// slice is shared with the receiver.
-func (s *Series) Clip(from, to int) (*Series, error) {
-	if from < 0 || to > s.Days() || from > to {
-		return nil, fmt.Errorf("timeseries: clip [%d,%d) out of range [0,%d]", from, to, s.Days())
-	}
-	perDay := s.SamplesPerDay()
-	return &Series{
-		ResolutionMinutes: s.ResolutionMinutes,
-		Samples:           s.Samples[from*perDay : to*perDay],
-	}, nil
-}
-
 // Resample returns a new series at a coarser resolution by averaging
 // groups of samples. The target resolution must be a multiple of the
 // source resolution. Averaging (rather than decimating) models what a
@@ -137,10 +124,10 @@ func (s *Series) Decimate(resolutionMinutes int) (*Series, error) {
 // and the mean power over the slot's M samples — the value against which
 // the paper's Eq. 7 error is computed.
 //
-// Slot additionally builds per-slot prefix-sum columns over the days, so
-// any D-day windowed mean (the predictor's μD, or a windowed slot mean)
-// costs two loads and a division instead of a D-term sum. The evaluation
-// engine in internal/optimize leans on these columns for its O(1) μD.
+// Slot additionally builds a per-slot prefix-sum column over the days of
+// the Start samples, so the predictor's D-day windowed mean μD costs two
+// loads and a division instead of a D-term sum. The evaluation engine in
+// internal/optimize leans on this column for its O(1) μD.
 type SlotView struct {
 	// N is the number of slots per day (the sampling rate of the
 	// prediction algorithm).
@@ -159,8 +146,6 @@ type SlotView struct {
 	// over d' < d: a per-slot prefix over days. Built by Slot (or
 	// BuildPrefix for hand-assembled views); nil until then.
 	StartPrefix []float64
-	// MeanPrefix is the same per-slot prefix over the Mean column.
-	MeanPrefix []float64
 }
 
 // ErrSlotting is wrapped by slot-construction errors.
@@ -198,31 +183,27 @@ func (s *Series) Slot(n int) (*SlotView, error) {
 	return v, nil
 }
 
-// BuildPrefix (re)computes the per-slot prefix-sum columns from Start and
-// Mean. Slot calls it automatically; call it manually after assembling a
-// SlotView by hand or mutating its columns. It is not safe to call
-// concurrently with readers of the same view.
+// BuildPrefix (re)computes the per-slot prefix-sum column from Start.
+// Slot calls it automatically; call it manually after assembling a
+// SlotView by hand or mutating Start. It is not safe to call concurrently
+// with readers of the same view.
 func (v *SlotView) BuildPrefix() {
 	n, days := v.N, v.DaysCount
 	if len(v.StartPrefix) != (days+1)*n {
 		v.StartPrefix = make([]float64, (days+1)*n)
 	}
-	if len(v.MeanPrefix) != (days+1)*n {
-		v.MeanPrefix = make([]float64, (days+1)*n)
-	}
 	for d := 0; d < days; d++ {
 		row, next := d*n, (d+1)*n
 		for j := 0; j < n; j++ {
 			v.StartPrefix[next+j] = v.StartPrefix[row+j] + v.Start[row+j]
-			v.MeanPrefix[next+j] = v.MeanPrefix[row+j] + v.Mean[row+j]
 		}
 	}
 }
 
-// HasPrefix reports whether the prefix-sum columns are present and sized
+// HasPrefix reports whether the prefix-sum column is present and sized
 // for the view.
 func (v *SlotView) HasPrefix() bool {
-	return len(v.StartPrefix) == (v.DaysCount+1)*v.N && len(v.MeanPrefix) == (v.DaysCount+1)*v.N
+	return len(v.StartPrefix) == (v.DaysCount+1)*v.N
 }
 
 // WindowStartMean returns the mean of slot j's slot-start samples over
@@ -230,12 +211,6 @@ func (v *SlotView) HasPrefix() bool {
 // caller must ensure 0 ≤ d−D and d ≤ DaysCount.
 func (v *SlotView) WindowStartMean(d, j, D int) float64 {
 	return (v.StartPrefix[d*v.N+j] - v.StartPrefix[(d-D)*v.N+j]) / float64(D)
-}
-
-// WindowSlotMean returns the mean of slot j's mean powers over days
-// [d−D, d) in O(1). The caller must ensure 0 ≤ d−D and d ≤ DaysCount.
-func (v *SlotView) WindowSlotMean(d, j, D int) float64 {
-	return (v.MeanPrefix[d*v.N+j] - v.MeanPrefix[(d-D)*v.N+j]) / float64(D)
 }
 
 // StartAt returns the slot-start sample for day d, slot j.
@@ -259,17 +234,8 @@ func (v *SlotView) PeakMean() float64 { return maxOrZero(v.Mean) }
 // the peak the slot-start error reference scales its threshold by.
 func (v *SlotView) PeakStart() float64 { return maxOrZero(v.Start) }
 
-// DayStarts returns the slot-start samples of day d as a subslice.
-func (v *SlotView) DayStarts(d int) []float64 { return v.Start[d*v.N : (d+1)*v.N] }
-
-// DayMeans returns the mean slot powers of day d as a subslice.
-func (v *SlotView) DayMeans(d int) []float64 { return v.Mean[d*v.N : (d+1)*v.N] }
-
 // TotalSlots returns the number of (day, slot) cells in the view.
 func (v *SlotView) TotalSlots() int { return v.DaysCount * v.N }
-
-// GlobalIndex converts (day, slot) to the flat index used by Start/Mean.
-func (v *SlotView) GlobalIndex(d, j int) int { return d*v.N + j }
 
 // Split converts a flat slot index back into (day, slot).
 func (v *SlotView) Split(t int) (day, slot int) { return t / v.N, t % v.N }

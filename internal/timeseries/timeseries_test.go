@@ -67,31 +67,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	s := mkSeries(t, 5, 5)
-	c, err := s.Clip(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Days() != 2 {
-		t.Fatalf("clip days = %d", c.Days())
-	}
-	if c.Samples[0] != 1000 {
-		t.Errorf("clip start = %v", c.Samples[0])
-	}
-	if _, err := s.Clip(3, 2); err == nil {
-		t.Error("inverted clip should error")
-	}
-	if _, err := s.Clip(0, 6); err == nil {
-		t.Error("overlong clip should error")
-	}
-	// Empty clip is legal.
-	e, err := s.Clip(2, 2)
-	if err != nil || e.Days() != 0 {
-		t.Errorf("empty clip: %v days=%d", err, e.Days())
-	}
-}
-
 func TestResampleAveragesGroups(t *testing.T) {
 	// 1-minute data: values 0..1439 on one day.
 	samples := make([]float64, 1440)
@@ -180,9 +155,6 @@ func TestSlotViewBasics(t *testing.T) {
 	if v.PeakMean() != 14.5 {
 		t.Errorf("PeakMean = %v", v.PeakMean())
 	}
-	if len(v.DayStarts(0)) != 48 || len(v.DayMeans(0)) != 48 {
-		t.Error("day slices wrong length")
-	}
 	if v.TotalSlots() != 48 {
 		t.Error("TotalSlots mismatch")
 	}
@@ -232,7 +204,7 @@ func TestSlotIndexRoundTrip(t *testing.T) {
 	s := mkSeries(t, 5, 4)
 	v, _ := s.Slot(48)
 	for _, tc := range []struct{ d, j int }{{0, 0}, {1, 5}, {3, 47}} {
-		g := v.GlobalIndex(tc.d, tc.j)
+		g := tc.d*v.N + tc.j
 		d, j := v.Split(g)
 		if d != tc.d || j != tc.j {
 			t.Errorf("roundtrip (%d,%d) -> %d -> (%d,%d)", tc.d, tc.j, g, d, j)
@@ -330,22 +302,18 @@ func TestSlotBuildsPrefixColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !v.HasPrefix() {
-		t.Fatal("Slot must build the prefix columns")
+		t.Fatal("Slot must build the prefix column")
 	}
 	// Every windowed mean must equal the direct D-term average.
 	for _, D := range []int{1, 2, 5} {
 		for d := D; d <= days; d++ {
 			for j := 0; j < v.N; j += 7 {
-				var sumS, sumM float64
+				var sumS float64
 				for dd := d - D; dd < d; dd++ {
 					sumS += v.StartAt(dd, j)
-					sumM += v.MeanAt(dd, j)
 				}
 				if got, want := v.WindowStartMean(d, j, D), sumS/float64(D); math.Abs(got-want) > 1e-9*(1+want) {
 					t.Fatalf("WindowStartMean(%d,%d,%d) = %v, want %v", d, j, D, got, want)
-				}
-				if got, want := v.WindowSlotMean(d, j, D), sumM/float64(D); math.Abs(got-want) > 1e-9*(1+want) {
-					t.Fatalf("WindowSlotMean(%d,%d,%d) = %v, want %v", d, j, D, got, want)
 				}
 			}
 		}
@@ -362,12 +330,12 @@ func TestBuildPrefixOnHandAssembledView(t *testing.T) {
 	}
 	v.BuildPrefix()
 	if !v.HasPrefix() {
-		t.Fatal("BuildPrefix did not size the columns")
+		t.Fatal("BuildPrefix did not size the column")
 	}
 	if got := v.WindowStartMean(3, 0, 3); math.Abs(got-3) > 1e-12 {
 		t.Errorf("WindowStartMean = %v, want 3", got)
 	}
-	if got := v.WindowSlotMean(2, 1, 2); math.Abs(got-3) > 1e-12 {
-		t.Errorf("WindowSlotMean = %v, want 3", got)
+	if got := v.WindowStartMean(2, 1, 2); math.Abs(got-3) > 1e-12 {
+		t.Errorf("WindowStartMean(2, 1, 2) = %v, want 3", got)
 	}
 }
