@@ -598,6 +598,19 @@ func BenchmarkSolarPosition(b *testing.B) {
 	_ = el
 }
 
+// BenchmarkClearSkyDay times one day of the clear-sky envelope at
+// 1-minute resolution for a mid-latitude site, the per-day kernel of
+// trace generation.
+func BenchmarkClearSkyDay(b *testing.B) {
+	site := solar.Site{LatitudeDeg: 39.74, LongitudeDeg: -105.18, TimezoneHours: -7}
+	out := make([]float64, 1440)
+	for i := 0; i < b.N; i++ {
+		if err := solar.ClearSkyDay(site, 1+i%365, 1, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAdaptiveSelectorUpdate(b *testing.B) {
 	cands, err := adaptive.Grid(optimize.DefaultSpace().Alphas, []int{1, 2, 3, 4, 5, 6})
 	if err != nil {

@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	repro            # full paper scale (about 3 s on 2 vCPUs)
+//	repro            # full paper scale (about 2 s on 2 vCPUs)
 //	repro -quick     # reduced scale, well under a second
 package main
 

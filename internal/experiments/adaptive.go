@@ -67,52 +67,64 @@ func TableVI(cfg Config) ([]TableVIRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []TableVIRow
-	for _, site := range cfg.Sites {
-		for _, n := range cfg.Ns {
-			row := TableVIRow{Site: site, N: n}
-			deg, err := Degenerate(site, n)
-			if err != nil {
-				return nil, err
-			}
-			if deg {
-				row.Degenerate = true
-				rows = append(rows, row)
-				continue
-			}
-			e, _, err := cfg.evalFor(site, n)
-			if err != nil {
-				return nil, err
-			}
-			res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
-			if err != nil {
-				return nil, err
-			}
-			d := res.Best.Params.D
-			dyn, err := e.DynamicEval(d, grid, res.Best, optimize.RefSlotMean)
-			if err != nil {
-				return nil, err
-			}
-			row.Static = res.Best.Report.MAPE
-			row.Oracle = dyn.BothMAPE
-
-			policies, err := buildPolicies(len(cands), n)
-			if err != nil {
-				return nil, err
-			}
-			for _, sel := range policies {
-				r, err := e.AdaptiveEval(d, cands, sel, optimize.RefSlotMean)
-				if err != nil {
-					return nil, err
-				}
-				if r.Report.MAPE < row.Oracle-1e-9 {
-					return nil, fmt.Errorf("experiments: %s N=%d: policy %s beat the oracle — bug",
-						site, n, sel.Name())
-				}
-				row.Policies = append(row.Policies, *r)
-			}
-			rows = append(rows, row)
+	jobs := crossSitesNs(cfg.Sites, cfg.Ns)
+	rows := make([]TableVIRow, len(jobs))
+	err = parallelFor(cfg.workers(), len(jobs), func(i int) error {
+		row, err := tableVIRow(cfg, jobs[i].site, jobs[i].n, grid, cands)
+		if err != nil {
+			return err
 		}
+		rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// tableVIRow evaluates one (site, N) row of TableVI with its own policy
+// instances, so rows can run concurrently.
+func tableVIRow(cfg Config, site string, n int, grid core.DynamicGrid, cands []adaptive.Candidate) (TableVIRow, error) {
+	row := TableVIRow{Site: site, N: n}
+	deg, err := Degenerate(site, n)
+	if err != nil {
+		return row, err
+	}
+	if deg {
+		row.Degenerate = true
+		return row, nil
+	}
+	e, _, err := cfg.evalFor(site, n)
+	if err != nil {
+		return row, err
+	}
+	res, err := cfg.gridFor(site, n, optimize.RefSlotMean)
+	if err != nil {
+		return row, err
+	}
+	d := res.Best.Params.D
+	dyn, err := e.DynamicEval(d, grid, res.Best, optimize.RefSlotMean)
+	if err != nil {
+		return row, err
+	}
+	row.Static = res.Best.Report.MAPE
+	row.Oracle = dyn.BothMAPE
+
+	policies, err := buildPolicies(len(cands), n)
+	if err != nil {
+		return row, err
+	}
+	for _, sel := range policies {
+		r, err := e.AdaptiveEval(d, cands, sel, optimize.RefSlotMean)
+		if err != nil {
+			return row, err
+		}
+		if r.Report.MAPE < row.Oracle-1e-9 {
+			return row, fmt.Errorf("experiments: %s N=%d: policy %s beat the oracle — bug",
+				site, n, sel.Name())
+		}
+		row.Policies = append(row.Policies, *r)
+	}
+	return row, nil
 }

@@ -167,3 +167,11 @@ func TestGoldenGuidelines(t *testing.T) {
 	}
 	checkGolden(t, "guidelines.json", gs)
 }
+
+func TestGoldenTableVI(t *testing.T) {
+	rows, err := TableVI(goldenConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "tablevi.json", rows)
+}

@@ -52,14 +52,18 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 	}
 	sel.Reset()
 
-	// Distinct K values so Φ is computed once per K, not per candidate.
+	// Distinct K values so Φ is computed once per K, not per candidate;
+	// candK[i] is candidate i's index into ks, resolved once per call so
+	// the per-slot loops do no map lookups.
 	kIndex := map[int]int{}
 	var ks []int
-	for _, c := range cands {
+	candK := make([]int, len(cands))
+	for i, c := range cands {
 		if _, ok := kIndex[c.K]; !ok {
 			kIndex[c.K] = len(ks)
 			ks = append(ks, c.K)
 		}
+		candK[i] = kIndex[c.K]
 	}
 	conds := make([]float64, len(ks))
 	losses := make([]float64, len(cands))
@@ -114,13 +118,12 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 			}
 			prevChoice = choice
 		}
-		chosen := cands[choice]
-		pred := core.Combine(chosen.Alpha, pers, conds[kIndex[chosen.K]])
+		pred := core.Combine(cands[choice].Alpha, pers, conds[candK[choice]])
 		acc.Add(pred, refVal)
 
 		// Full-information feedback for every candidate.
 		for i, c := range cands {
-			p := core.Combine(c.Alpha, pers, conds[kIndex[c.K]])
+			p := core.Combine(c.Alpha, pers, conds[candK[i]])
 			losses[i] = adaptive.LossScale(math.Abs(refVal-p), refVal, lossFloor)
 		}
 		sel.Update(losses)

@@ -193,15 +193,32 @@ func SunriseSunset(site Site, doy int) (rise, set float64) {
 // day at the given resolution. Samples are taken at the start of each
 // interval (consistent with a data logger time-stamping at interval
 // starts). len(out) must be 1440/resolutionMinutes.
+//
+// Every sample is bit-identical to ClearSkyGHI(PositionAt(site, doy,
+// minutes).Elevation): the terms that depend only on the day are computed
+// once, in the same expression order PositionAt uses, and a sample with
+// sin(elevation) ≤ 0 is written as 0 directly, which is what ClearSkyGHI
+// returns for it.
 func ClearSkyDay(site Site, doy int, resolutionMinutes int, out []float64) error {
 	perDay := 1440 / resolutionMinutes
 	if len(out) != perDay {
 		return fmt.Errorf("solar: out length %d, want %d", len(out), perDay)
 	}
+	decl := Declination(doy)
+	meridian := site.TimezoneHours * 15
+	correction := 4*(site.LongitudeDeg-meridian) + EquationOfTime(doy)
+	lat := site.LatitudeDeg * math.Pi / 180
+	sinSin := math.Sin(lat) * math.Sin(decl)
+	cosCos := math.Cos(lat) * math.Cos(decl)
 	for i := 0; i < perDay; i++ {
 		minutes := float64(i * resolutionMinutes)
-		pos := PositionAt(site, doy, minutes)
-		out[i] = ClearSkyGHI(pos.Elevation)
+		h := HourAngle(minutes + correction)
+		sinEl := sinSin + cosCos*math.Cos(h)
+		if sinEl <= 0 {
+			out[i] = 0
+			continue
+		}
+		out[i] = ClearSkyGHI(math.Asin(clampUnit(sinEl)))
 	}
 	return nil
 }

@@ -265,3 +265,71 @@ func TestClearSkyAnnualEnergyCurve(t *testing.T) {
 		t.Errorf("daily energy not seasonal: %e %e %e", daily[172], daily[80], daily[355])
 	}
 }
+
+// zeroSamples are samples whose sin(elevation) is exactly +0: the two
+// terms of the elevation sum cancel bit for bit. A −0 sum is unreachable
+// — it needs both terms to be −0, and cos(lat)·cos(δ)·cos(H) is never
+// zero for floating-point arguments.
+var zeroSamples = []struct {
+	site    Site
+	doy     int
+	minutes float64
+}{
+	{Site{LatitudeDeg: 30.07972121764268}, 1, 420}, // 07:00 sunrise
+	{Site{LatitudeDeg: -67.01845640452417}, 2, 0},  // midnight, polar-day edge
+}
+
+// FuzzClearSkyDayMatchesPositionAt is the differential test for the
+// hoisted per-day terms: for any valid site, day and sampling resolution
+// the sites use, every ClearSkyDay sample must equal, bit for bit,
+// ClearSkyGHI of PositionAt's elevation at that sample's clock time.
+func FuzzClearSkyDayMatchesPositionAt(f *testing.F) {
+	for _, z := range zeroSamples {
+		if el := PositionAt(z.site, z.doy, z.minutes).Elevation; el != 0 || math.Signbit(el) {
+			f.Fatalf("%+v day %d minute %v no longer reaches sin(elevation) = +0: elevation %v", z.site, z.doy, z.minutes, el)
+		}
+		f.Add(z.site.LatitudeDeg, 0.0, 0.0, uint16(z.doy), uint8(5)) // 60-minute samples include both
+	}
+	f.Add(golden.LatitudeDeg, golden.LongitudeDeg, golden.TimezoneHours, uint16(172), uint8(0))
+	f.Add(90.0, 0.0, 0.0, uint16(172), uint8(1))     // polar day
+	f.Add(90.0, 0.0, 0.0, uint16(355), uint8(2))     // polar night
+	f.Add(-90.0, 179.0, 12.0, uint16(172), uint8(3)) // southern polar night
+	f.Add(66.5, 25.0, 2.0, uint16(172), uint8(4))    // Arctic circle, midsummer
+	f.Add(-66.5, -68.0, -4.0, uint16(355), uint8(5)) // Antarctic circle, midsummer
+	f.Add(-14.3, -170.7, 14.0, uint16(80), uint8(1)) // largest timezone offset
+	f.Fuzz(func(t *testing.T, lat, lon, tz float64, doyRaw uint16, resSel uint8) {
+		site := Site{
+			LatitudeDeg:   foldInto(lat, -90, 90),
+			LongitudeDeg:  foldInto(lon, -180, 180),
+			TimezoneHours: foldInto(tz, -12, 14),
+		}
+		if err := site.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		doy := 1 + (int(doyRaw)+DaysPerYear-1)%DaysPerYear
+		res := []int{1, 5, 10, 15, 30, 60}[resSel%6]
+		out := make([]float64, 1440/res)
+		if err := ClearSkyDay(site, doy, res, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range out {
+			minutes := float64(i * res)
+			want := ClearSkyGHI(PositionAt(site, doy, minutes).Elevation)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v day %d minute %v: ClearSkyDay %v, PositionAt reference %v", site, doy, minutes, got, want)
+			}
+		}
+	})
+}
+
+// foldInto maps x into [lo, hi], keeping in-range values (the poles and
+// the date line included) exactly.
+func foldInto(x, lo, hi float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0
+	}
+	if x < lo || x > hi {
+		return lo + math.Mod(math.Abs(x), hi-lo)
+	}
+	return x
+}
