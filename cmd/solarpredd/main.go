@@ -1,14 +1,15 @@
 // Command solarpredd is the prediction daemon: the warm experiment store
 // behind an HTTP/JSON API. It serves next-slot forecasts, grid-search
-// and tuning queries over the configured site universe, coalescing
-// concurrent queries for one (site, N, space, ref) tuple into a single
-// store computation and draining gracefully on SIGTERM/SIGINT.
+// and tuning queries over the configured site universe from one
+// experiment store, whose flights coalesce concurrent queries for one
+// tuple into a single computation, and drains gracefully on
+// SIGTERM/SIGINT.
 //
 // Usage:
 //
 //	solarpredd                      # quick scale on :8080
 //	solarpredd -addr :9000 -full    # paper scale (six sites, 365 days)
-//	solarpredd -days 120 -workers 4
+//	solarpredd -days 120
 //	solarpredd -chaos spike         # soak mode: fault-injected traces
 //
 // Endpoints: GET /healthz, /v1/forecast?site=&n=&horizon=,
@@ -49,7 +50,6 @@ type options struct {
 	addr           string
 	full           bool
 	days           int
-	workers        int
 	drainTimeout   time.Duration
 	requestTimeout time.Duration
 	maxBacklog     int
@@ -64,7 +64,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.BoolVar(&o.full, "full", false, "serve the paper-scale universe (six sites, 365 days) instead of the quick one")
 	flag.IntVar(&o.days, "days", 0, "override the trace length in days")
-	flag.IntVar(&o.workers, "workers", 0, "bound concurrent store computations (0 = GOMAXPROCS)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 30*time.Second, "server-side deadline per compute request (0 disables)")
 	flag.IntVar(&o.maxBacklog, "max-backlog", 0, "admitted compute requests beyond which new ones are shed with 429 (0 = default, negative disables)")
@@ -140,7 +139,6 @@ func run(o options) error {
 	}
 	svc, err := serve.New(serve.Config{
 		Exp:            cfg,
-		Workers:        o.workers,
 		RequestTimeout: o.requestTimeout,
 		MaxBacklog:     o.maxBacklog,
 	})
@@ -181,7 +179,7 @@ func run(o options) error {
 
 	// Graceful shutdown: reject new requests (503 outside /healthz),
 	// stop accepting connections, wait for in-flight requests, then
-	// drain the batcher.
+	// wait for the store's flights to finish.
 	log.Printf("solarpredd: signal received, draining (timeout %s)", o.drainTimeout)
 	svc.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)

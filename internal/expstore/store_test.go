@@ -386,12 +386,17 @@ func TestStoreResetAndLen(t *testing.T) {
 	if s.Len() == 0 || len(s.Keys()) != s.Len() {
 		t.Fatalf("len = %d, keys = %d", s.Len(), len(s.Keys()))
 	}
+	flights := s.Flights()
 	s.Reset()
 	if s.Len() != 0 {
 		t.Errorf("len after reset = %d", s.Len())
 	}
 	if st := s.Stats(); st.View.Misses != 0 || st.Series.Misses != 0 {
 		t.Errorf("stats after reset = %+v", st)
+	}
+	// Flight counters are cumulative: callers subtract them across resets.
+	if got := s.Flights(); got != flights || got.Computations == 0 {
+		t.Errorf("flights after reset = %+v, before %+v", got, flights)
 	}
 	if _, err := s.View("A", 20, 24); err != nil {
 		t.Fatalf("store unusable after reset: %v", err)

@@ -136,8 +136,8 @@ func TestChaosPanicFlightContained(t *testing.T) {
 	if failed == 0 {
 		t.Fatal("no client observed the panic")
 	}
-	if p := svc.Batcher().Stats().Panics; p < 1 {
-		t.Fatalf("batcher panics = %d, want >= 1", p)
+	if p := svc.Store().Flights().Panics; p < 1 {
+		t.Fatalf("flight panics = %d, want >= 1", p)
 	}
 
 	// The flight is gone and the pool survived: the same request now
@@ -165,7 +165,6 @@ func TestChaosOverloadSheds(t *testing.T) {
 		<-gate
 		return cleanTrace(site, days)
 	}, func(c *Config) {
-		c.Workers = 1
 		c.MaxBacklog = 2
 	})
 	ts := httptest.NewServer(svc.Handler())
@@ -395,7 +394,6 @@ func TestChaosDeadlineStorm(t *testing.T) {
 		}
 		return cleanTrace(site, days)
 	}, func(c *Config) {
-		c.Workers = 2
 		c.RequestTimeout = 50 * time.Millisecond
 	})
 	ts := httptest.NewServer(svc.Handler())
@@ -421,17 +419,19 @@ func TestChaosDeadlineStorm(t *testing.T) {
 		}
 	}
 
-	// Every waiter abandoned the coalesced flight, so it was cancelled.
+	// Every waiter abandoned the coalesced guard flight, so it was
+	// cancelled, and so were the view, pyramid and series flights below
+	// it that only it waited on.
 	waitFor(t, time.Second, func() bool {
-		return svc.Batcher().Stats().Abandoned >= 1
+		return svc.Store().Flights().Abandoned >= 1
 	}, "abandoned flight not counted")
 
-	// Unwedge; the replay stuck behind the gate notices its dead flight
-	// context at the next day boundary and exits instead of completing.
+	// Unwedge; the series flight stuck behind the gate returns, fails
+	// as abandoned and leaves no flight running.
 	wedged.Store(false)
 	release()
 	waitFor(t, time.Second, func() bool {
-		return svc.Batcher().Stats().InFlight == 0
+		return svc.Store().Flights().InFlight == 0
 	}, "cancelled flight never completed")
 
 	// The service recovers: the same tuple now computes fresh.
@@ -446,8 +446,8 @@ func TestChaosDeadlineStorm(t *testing.T) {
 
 // TestChaosDegradedForecast: a site whose sensor stream goes bad (a held
 // constant over the final days) replays into a degraded guard; the
-// forecast comes back 200 with degraded: true and the guard's detector
-// counts are visible through GuardStats.
+// forecast comes back 200 with degraded: true and the published guard's
+// detector counts show the held stream.
 func TestChaosDegradedForecast(t *testing.T) {
 	leakCheck(t)
 	svc := chaosService(t, func(site string, days int) (*timeseries.Series, error) {
@@ -475,13 +475,18 @@ func TestChaosDegradedForecast(t *testing.T) {
 	if !got.Degraded || got.Stale {
 		t.Fatalf("corrupted stream not flagged degraded: %+v", got)
 	}
-	if got.Quality >= svc.guardCfg.MinQuality {
+	computations := svc.Store().Flights().Computations
+	g, err := svc.Store().Guard(context.Background(), "SPMD", svc.Config().Days, 48, experiments.GuidelineParams(48), svc.guard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := svc.Store().Flights().Computations; c != computations {
+		t.Fatalf("guard replayed again (%d computations, was %d)", c, computations)
+	}
+	if got.Quality >= g.Config().MinQuality {
 		t.Fatalf("quality %v above floor", got.Quality)
 	}
-	gs, ok := svc.GuardStats("SPMD", 48, experiments.GuidelineParams(48))
-	if !ok {
-		t.Fatal("guard stats missing after replay")
-	}
+	gs := g.Stats()
 	if gs.DetectedKind(faults.Dropout) == 0 {
 		t.Fatalf("held stream not detected: %+v", gs)
 	}
@@ -517,7 +522,6 @@ func TestChaosMixedStormNoLeaks(t *testing.T) {
 		}
 		return cleanTrace(site, days)
 	}, func(c *Config) {
-		c.Workers = 2
 		c.MaxBacklog = 4
 		c.RequestTimeout = 40 * time.Millisecond
 		c.BreakerThreshold = 4
@@ -555,7 +559,7 @@ func TestChaosMixedStormNoLeaks(t *testing.T) {
 
 	svc.BeginDrain()
 	svc.Close() // blocks until every flight has answered
-	if inflight := svc.Batcher().Stats().InFlight; inflight != 0 {
+	if inflight := svc.Store().Flights().InFlight; inflight != 0 {
 		t.Fatalf("in-flight after Close: %d", inflight)
 	}
 	// leakCheck (cleanup) asserts the goroutine count settles.
@@ -570,102 +574,5 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 			t.Fatal(msg)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestBatcherAbandonCancelsCompute pins the satellite contract at the
-// batcher level: when every waiter's context expires, the flight's
-// compute context is cancelled instead of the computation burning a pool
-// slot to completion.
-func TestBatcherAbandonCancelsCompute(t *testing.T) {
-	leakCheck(t)
-	b := NewBatcher(1)
-	defer b.Close()
-	cancelled := make(chan struct{})
-	started := make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(ctx, "doomed", func(fctx context.Context) (any, error) {
-			close(started)
-			<-fctx.Done() // the computation observes its own cancellation
-			close(cancelled)
-			return nil, fctx.Err()
-		})
-		done <- err
-	}()
-	<-started
-	cancel() // the only waiter gives up
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("submit err = %v", err)
-	}
-	select {
-	case <-cancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("flight context never cancelled after last waiter left")
-	}
-	waitFor(t, time.Second, func() bool {
-		st := b.Stats()
-		return st.Abandoned == 1 && st.InFlight == 0
-	}, "abandon accounting")
-
-	// A second waiter joining then leaving first must NOT cancel the
-	// flight while the original waiter still wants the result.
-	gate := make(chan struct{})
-	res := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(context.Background(), "shared", func(fctx context.Context) (any, error) {
-			select {
-			case <-gate:
-				return 1, nil
-			case <-fctx.Done():
-				return nil, fctx.Err()
-			}
-		})
-		res <- err
-	}()
-	waitFor(t, time.Second, func() bool { return b.Stats().InFlight == 1 }, "flight not started")
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	joined := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(ctx2, "shared", func(fctx context.Context) (any, error) { return nil, nil })
-		joined <- err
-	}()
-	waitFor(t, time.Second, func() bool { return b.Stats().Coalesced >= 1 }, "second waiter not coalesced")
-	cancel2()
-	if err := <-joined; !errors.Is(err, context.Canceled) {
-		t.Fatalf("joined waiter err = %v", err)
-	}
-	close(gate)
-	if err := <-res; err != nil {
-		t.Fatalf("surviving waiter err = %v (flight was cancelled under it)", err)
-	}
-	if a := b.Stats().Abandoned; a != 1 {
-		t.Fatalf("abandoned = %d after partial abandonment, want 1", a)
-	}
-}
-
-// TestBatcherPanicUnit pins the panic contract at the batcher level
-// without HTTP in the way.
-func TestBatcherPanicUnit(t *testing.T) {
-	b := NewBatcher(1)
-	defer b.Close()
-	_, _, err := b.Submit(context.Background(), "boom", func(context.Context) (any, error) {
-		panic("kaboom")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if pe.Value != "kaboom" || len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "kaboom") {
-		t.Fatalf("panic error: %+v", pe)
-	}
-	// The pool slot was released: more work runs fine.
-	v, _, err := b.Submit(context.Background(), "boom", func(context.Context) (any, error) { return "ok", nil })
-	if err != nil || v != "ok" {
-		t.Fatalf("after panic: %v %v", v, err)
-	}
-	if st := b.Stats(); st.Panics != 1 {
-		t.Fatalf("panics = %d", st.Panics)
 	}
 }

@@ -188,7 +188,6 @@ func TestClientAgainstService(t *testing.T) {
 		}
 		return cleanTrace(site, days)
 	}, func(c *Config) {
-		c.Workers = 1
 		c.MaxBacklog = 1
 	})
 	ts := httptest.NewServer(svc.Handler())

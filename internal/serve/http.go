@@ -37,7 +37,7 @@ var computeEndpoints = map[string]bool{epForecast: true, epGrid: true, epTune: t
 //	GET  /v1/forecast?site=&n=&horizon=      next-slot forecasts [&alpha=&d=&k=]
 //	GET  /v1/grid?site=&n=                   full grid result [&ref=&alphas=&ds=&ks=]
 //	GET  /v1/tune?site=&n=                   best / K=2 / guideline summary [&ref=...]
-//	GET  /v1/stats                           store + batcher + endpoint metrics
+//	GET  /v1/stats                           store, flight, breaker and endpoint metrics
 //	POST /v1/reset                           admin cache flush
 //
 // Every endpoint except /healthz rejects requests with 503 once

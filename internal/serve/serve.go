@@ -4,29 +4,25 @@
 //
 // The layering, bottom to top:
 //
-//   - expstore.Store memoises traces, views, evaluators and grid results
-//     with single-flight admission per key (shared with the experiment
-//     drivers, so a repro run and the daemon warm the same entries);
-//   - Batcher coalesces concurrent requests for the same (site, N,
-//     space, ref) tuple into one store computation: a mutex-guarded
-//     map holds one flight per in-flight key, every waiter blocks on
-//     the flight's done channel, and the key is forgotten once the
-//     result is out. A semaphore bounds how many computations run at
-//     once; each request's queue/compute stages are stamped, a
-//     computation every waiter has abandoned is cancelled, and a panic
-//     is contained to the flight that raised it;
-//   - Service owns the request semantics (guarded forecast replay,
-//     grid/tune conversion, admin reset), the per-key-class circuit
-//     breakers, the stale-forecast fallback and the per-endpoint
-//     metrics;
+//   - expstore.Store memoises traces, views, evaluators, grid results
+//     and replayed guards (shared with the experiment drivers, so a
+//     repro run and the daemon warm the same entries). Its flight map is
+//     the only deduplication layer: concurrent requests for one key
+//     share one computation, a computation every waiter has abandoned
+//     is cancelled, a panic is contained to the flight that raised it,
+//     and at most GOMAXPROCS computations run at once;
+//   - Service owns the request semantics (validation, forecast and
+//     grid/tune conversion, drain, admin reset), the per-key-class
+//     circuit breakers, the stale-forecast fallback and the
+//     per-endpoint metrics;
 //   - the HTTP handlers in http.go parse, shed load past the backlog
 //     bound (429 + Retry-After), enforce the server-side request
 //     deadline, instrument and encode.
 //
 // Forecasts run behind guard.Guard, the online input-quality gate: the
-// guard is replayed over a site's cached slot view inside the single
-// computing goroutine of a batcher flight, then published read-only —
-// every subsequent forecast for the tuple calls the guard's non-mutating
+// store replays the guard over a site's cached slot view on the single
+// goroutine of a store flight, then publishes it read-only — every
+// subsequent forecast for the tuple calls the guard's non-mutating
 // Forecast. Observe is never exposed over the API. On the generator's
 // clean traces the guard is invisible (forecasts bit-identical to a raw
 // core.Predictor); on damaged inputs it repairs what it can and falls
@@ -45,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,6 +54,9 @@ import (
 	"solarpred/internal/optimize"
 	"solarpred/internal/timeseries"
 )
+
+// ErrDraining is returned for work requested after BeginDrain.
+var ErrDraining = errors.New("serve: draining, not accepting new work")
 
 // ErrShed is returned (wrapped in a *RetryableError) when the admission
 // backlog is full and the request was shed, mapped to 429.
@@ -86,9 +84,6 @@ type Config struct {
 	// (required, as experiments.Config.Validate checks) is the one
 	// experiment store every request reads.
 	Exp experiments.Config
-	// Workers bounds how many store computations the batcher runs
-	// concurrently; 0 means GOMAXPROCS.
-	Workers int
 	// RequestTimeout is the server-side deadline applied to each compute
 	// request (forecast/grid/tune); 0 disables it.
 	RequestTimeout time.Duration
@@ -117,14 +112,15 @@ const (
 type Service struct {
 	cfg      experiments.Config
 	store    *expstore.Store
-	batcher  *Batcher
 	started  time.Time
 	draining atomic.Bool
 
 	requestTimeout time.Duration
 	maxBacklog     int
 	backlog        atomic.Int64
-	guardCfg       guard.Config
+	// guard keys the guards forecasts replay, built once so a warm
+	// forecast formats no config.
+	guard expstore.GuardSpec
 
 	// breakers is a fixed class → breaker map, built once in New and
 	// read-only afterwards (each breaker has its own lock).
@@ -133,12 +129,6 @@ type Service struct {
 	// metrics is a fixed endpoint-name → counters map, built once in New
 	// and read-only afterwards.
 	metrics map[string]*endpointMetrics
-
-	// preds holds replayed guarded predictors published read-only, keyed
-	// by (site, days, N, params). Populated under batcher flights;
-	// flushed by Reset.
-	predMu sync.Mutex
-	preds  map[string]*guard.Guard
 
 	// stale is the last-good forecast per tuple, served flagged
 	// degraded+stale while the forecast breaker is open. It deliberately
@@ -152,10 +142,6 @@ type Service struct {
 func New(cfg Config) (*Service, error) {
 	if err := cfg.Exp.Validate(); err != nil {
 		return nil, err
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	maxBacklog := cfg.MaxBacklog
 	switch {
@@ -182,16 +168,14 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:            cfg.Exp,
 		store:          cfg.Exp.Store,
-		batcher:        NewBatcher(workers),
 		started:        time.Now(),
 		requestTimeout: cfg.RequestTimeout,
 		maxBacklog:     maxBacklog,
-		guardCfg:       guardCfg,
+		guard:          expstore.NewGuardSpec(guardCfg),
 		breakers: map[string]*breaker{
 			classForecast: newBreaker(threshold, cooldown),
 			classGrid:     newBreaker(threshold, cooldown),
 		},
-		preds:   make(map[string]*guard.Guard),
 		stale:   make(map[string]*ForecastResult),
 		metrics: make(map[string]*endpointMetrics),
 	}
@@ -208,20 +192,18 @@ func (s *Service) Config() experiments.Config { return s.cfg }
 // harness read its counters).
 func (s *Service) Store() *expstore.Store { return s.store }
 
-// Batcher exposes the request batcher for its counters.
-func (s *Service) Batcher() *Batcher { return s.batcher }
-
 // BeginDrain flips the service into drain mode: every endpoint except
-// /healthz rejects new requests with 503 while in-flight ones complete.
+// /healthz rejects new requests with 503, and Forecast, Grid and Tune
+// return ErrDraining, while in-flight ones complete.
 func (s *Service) BeginDrain() { s.draining.Store(true) }
 
 // Draining reports whether BeginDrain has been called.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-// Close shuts the batcher down, blocking until in-flight computations
-// have answered their waiters. Call after the HTTP server has stopped
-// accepting connections.
-func (s *Service) Close() { s.batcher.Close() }
+// Close blocks until every started store computation has finished. Call
+// after BeginDrain, once the HTTP server has stopped accepting
+// connections.
+func (s *Service) Close() { s.store.Wait() }
 
 // badRequestError marks errors caused by the request, mapped to 400.
 type badRequestError struct{ msg string }
@@ -240,7 +222,7 @@ func IsBadRequest(err error) bool {
 	return errors.As(err, &b) || errors.Is(err, timeseries.ErrSlotting)
 }
 
-// fkey formats a float exactly for a batcher/cache key.
+// fkey formats a float exactly for a stale-cache key.
 func fkey(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // checkSiteN validates the request's (site, n) against the dataset.
@@ -295,6 +277,9 @@ type ForecastResult struct {
 // is open, the last-good result for the tuple is served flagged
 // degraded+stale if one exists.
 func (s *Service) Forecast(ctx context.Context, site string, n, horizon int, params core.Params) (*ForecastResult, error) {
+	if s.draining.Load() {
+		return nil, ErrDraining
+	}
 	if err := s.checkSiteN(site, n); err != nil {
 		return nil, err
 	}
@@ -326,7 +311,7 @@ func (s *Service) Forecast(ctx context.Context, site string, n, horizon int, par
 
 // forecast is the breaker-guarded body of Forecast.
 func (s *Service) forecast(ctx context.Context, site string, n, horizon int, params core.Params) (*ForecastResult, error) {
-	g, err := s.predictor(ctx, site, n, params)
+	g, err := s.store.Guard(ctx, site, s.cfg.Days, n, params, s.guard)
 	if err != nil {
 		return nil, err
 	}
@@ -391,73 +376,6 @@ func (s *Service) keepStale(key string, res *ForecastResult) {
 	s.staleMu.Unlock()
 }
 
-// predictor returns the published guarded predictor for (site, n,
-// params), replaying it under a batcher flight on first use. Concurrent
-// first requests for one tuple coalesce into a single replay.
-func (s *Service) predictor(ctx context.Context, site string, n int, params core.Params) (*guard.Guard, error) {
-	key := fmt.Sprintf("pred|%s|%d|%d|a%s,d%d,k%d",
-		site, s.cfg.Days, n, fkey(params.Alpha), params.D, params.K)
-	s.predMu.Lock()
-	g, ok := s.preds[key]
-	s.predMu.Unlock()
-	if ok {
-		return g, nil
-	}
-	v, _, err := s.batcher.Submit(ctx, key, func(fctx context.Context) (any, error) {
-		return s.replay(fctx, site, n, params)
-	})
-	if err != nil {
-		return nil, err
-	}
-	g = v.(*guard.Guard)
-	// Publish: from here on the guard is read-only (storing the same
-	// pointer twice from coalesced waiters is idempotent).
-	s.predMu.Lock()
-	s.preds[key] = g
-	s.predMu.Unlock()
-	return g, nil
-}
-
-// replay is the session-ownership step of the guard's contract: the
-// guarded predictor is constructed and fed the site's whole observation
-// stream inside the single computing goroutine of a batcher flight,
-// before being published read-only. The flight context is polled at day
-// boundaries so an abandoned replay stops instead of finishing for
-// nobody.
-func (s *Service) replay(ctx context.Context, site string, n int, params core.Params) (*guard.Guard, error) {
-	view, err := s.store.View(site, s.cfg.Days, n)
-	if err != nil {
-		return nil, err
-	}
-	g, err := guard.New(n, params, s.guardCfg)
-	if err != nil {
-		return nil, err
-	}
-	for t := 0; t < view.TotalSlots(); t++ {
-		if t%n == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if err := g.Observe(t%n, view.Start[t]); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// GuardStats returns the published guard's detector snapshot for a
-// tuple, if its replay has happened (same key as predictor).
-func (s *Service) GuardStats(site string, n int, params core.Params) (guard.Stats, bool) {
-	key := fmt.Sprintf("pred|%s|%d|%d|a%s,d%d,k%d",
-		site, s.cfg.Days, n, fkey(params.Alpha), params.D, params.K)
-	s.predMu.Lock()
-	g, ok := s.preds[key]
-	s.predMu.Unlock()
-	if !ok {
-		return guard.Stats{}, false
-	}
-	return g.Stats(), true
-}
-
 // --- Grid and tune ----------------------------------------------------------
 
 // CellResult is one evaluated grid point in JSON form.
@@ -494,16 +412,12 @@ type GridResult struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// gridKey is the batcher key of a grid tuple — the same provenance the
-// store keys on, so coalescing and memoization agree about identity.
-func (s *Service) gridKey(site string, n int, space optimize.Space, ref optimize.RefKind) string {
-	return fmt.Sprintf("grid|%s|%d|%d|%s|%s|%d",
-		site, s.cfg.Days, n, s.cfg.EvalOptions().Fingerprint(), expstore.SpaceFingerprint(space), int(ref))
-}
-
-// grid runs the store's grid search for the tuple under the batcher and
-// the grid-class breaker.
+// grid runs the store's grid search for the tuple under the grid-class
+// breaker.
 func (s *Service) grid(ctx context.Context, site string, n int, space optimize.Space, ref optimize.RefKind) (*optimize.SearchResult, error) {
+	if s.draining.Load() {
+		return nil, ErrDraining
+	}
 	if err := s.checkSiteN(site, n); err != nil {
 		return nil, err
 	}
@@ -519,19 +433,9 @@ func (s *Service) grid(ctx context.Context, site string, n int, space optimize.S
 	if ok, retry := br.allow(); !ok {
 		return nil, &RetryableError{Err: ErrBreakerOpen, RetryAfter: retry}
 	}
-	v, _, err := s.batcher.Submit(ctx, s.gridKey(site, n, space, ref), func(fctx context.Context) (any, error) {
-		// The store's grid search is not interruptible mid-sweep; honor
-		// an already-abandoned flight before starting the expensive part.
-		if err := fctx.Err(); err != nil {
-			return nil, err
-		}
-		return s.store.Grid(site, s.cfg.Days, n, s.cfg.EvalOptions(), space, ref)
-	})
+	res, err := s.store.GridContext(ctx, site, s.cfg.Days, n, s.cfg.EvalOptions(), space, ref)
 	resolveBreaker(br, err)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*optimize.SearchResult), nil
+	return res, err
 }
 
 // Grid serves the full grid-search result for (site, n, space, ref).
@@ -605,7 +509,9 @@ func (s *Service) Tune(ctx context.Context, site string, n int, space optimize.S
 
 // --- Stats and admin --------------------------------------------------------
 
-// StatsResult is the /v1/stats response.
+// StatsResult is the /v1/stats response. Batcher carries the store's
+// flight counters; it keeps the name (JSON "batcher") the service's
+// stats consumers read from before the store took over coalescing.
 type StatsResult struct {
 	UptimeSeconds float64                  `json:"uptime_seconds"`
 	Draining      bool                     `json:"draining"`
@@ -613,13 +519,13 @@ type StatsResult struct {
 	MaxBacklog    int                      `json:"max_backlog"`
 	Store         expstore.Stats           `json:"store"`
 	StoreEntries  int                      `json:"store_entries"`
-	Batcher       BatcherStats             `json:"batcher"`
+	Batcher       expstore.FlightStats     `json:"batcher"`
 	Breakers      map[string]BreakerStats  `json:"breakers"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 }
 
 // Stats snapshots the service: uptime, admission backlog, store
-// counters, batcher counters, breaker states and per-endpoint
+// counters, flight counters, breaker states and per-endpoint
 // latency/throughput/in-flight metrics.
 func (s *Service) Stats() StatsResult {
 	uptime := time.Since(s.started)
@@ -638,20 +544,15 @@ func (s *Service) Stats() StatsResult {
 		MaxBacklog:    s.maxBacklog,
 		Store:         s.store.Stats(),
 		StoreEntries:  s.store.Len(),
-		Batcher:       s.batcher.Stats(),
+		Batcher:       s.store.Flights(),
 		Breakers:      brs,
 		Endpoints:     eps,
 	}
 }
 
-// Reset is the admin cache flush: it drops the store's entries and the
-// published predictors. Safe under live load — the store's Reset is
-// concurrency-safe and readers holding old objects keep them. The stale
-// forecast cache deliberately survives (it is the degraded-mode safety
-// net for the freshly-cold cache).
-func (s *Service) Reset() {
-	s.store.Reset()
-	s.predMu.Lock()
-	s.preds = make(map[string]*guard.Guard)
-	s.predMu.Unlock()
-}
+// Reset is the admin cache flush: it drops the store's entries, the
+// published guards among them. Safe under live load — the store's Reset
+// is concurrency-safe and readers holding old objects keep them. The
+// stale forecast cache deliberately survives (it is the degraded-mode
+// safety net for the freshly-cold cache).
+func (s *Service) Reset() { s.store.Reset() }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"solarpred/internal/dataset"
 	"solarpred/internal/experiments"
 	"solarpred/internal/expstore"
+	"solarpred/internal/guard"
 	"solarpred/internal/timeseries"
 )
 
@@ -58,330 +60,130 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// --- Batcher ----------------------------------------------------------------
-
-func TestBatcherCoalesces(t *testing.T) {
-	b := NewBatcher(4)
-	defer b.Close()
-	gate := make(chan struct{})
-	var computes atomic.Int64
-
-	const clients = 8
-	var wg sync.WaitGroup
-	results := make([]any, clients)
-	errs := make([]error, clients)
-	stages := make([]Stages, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], stages[i], errs[i] = b.Submit(context.Background(), "tuple", func(context.Context) (any, error) {
-				computes.Add(1)
-				<-gate
-				return 42, nil
-			})
-		}(i)
-	}
-	// Wait until every client has been admitted (1 dispatch + 7 joins),
-	// then release the computation.
-	for b.Stats().Coalesced < clients-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("computations ran = %d, want 1", got)
-	}
-	st := b.Stats()
-	if st.Computations != 1 || st.Coalesced != clients-1 || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want 1 computation, %d coalesced, 0 in flight", st, clients-1)
-	}
-	var coalesced int
-	for i := 0; i < clients; i++ {
-		if errs[i] != nil {
-			t.Fatalf("client %d: %v", i, errs[i])
-		}
-		if results[i] != 42 {
-			t.Fatalf("client %d: result %v", i, results[i])
-		}
-		s := stages[i]
-		if s.Enqueued.IsZero() || s.Dispatched.IsZero() || s.Done.IsZero() || s.Done.Before(s.Dispatched) {
-			t.Fatalf("client %d: bad stages %+v", i, s)
-		}
-		if s.Coalesced {
-			coalesced++
-		}
-	}
-	if coalesced != clients-1 {
-		t.Fatalf("coalesced stage flags = %d, want %d", coalesced, clients-1)
-	}
-}
-
-func TestBatcherDistinctKeysRunIndependently(t *testing.T) {
-	b := NewBatcher(4)
-	defer b.Close()
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", i%3)
-			if _, _, err := b.Submit(context.Background(), key, func(context.Context) (any, error) {
-				computes.Add(1)
-				time.Sleep(2 * time.Millisecond)
-				return key, nil
-			}); err != nil {
-				t.Errorf("submit %s: %v", key, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := computes.Load(); got < 3 || got > 6 {
-		t.Fatalf("computations = %d, want within [3,6]", got)
-	}
-}
-
-func TestBatcherErrorFansOut(t *testing.T) {
-	b := NewBatcher(2)
-	defer b.Close()
-	boom := errors.New("boom")
-	gate := make(chan struct{})
-	const clients = 4
-	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			_, _, err := b.Submit(context.Background(), "bad", func(context.Context) (any, error) {
-				<-gate
-				return nil, boom
-			})
-			errCh <- err
-		}()
-	}
-	for b.Stats().Coalesced < clients-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	for i := 0; i < clients; i++ {
-		if err := <-errCh; !errors.Is(err, boom) {
-			t.Fatalf("client %d: err = %v, want boom", i, err)
-		}
-	}
-	// The flight is gone: a retry dispatches a fresh computation.
-	v, _, err := b.Submit(context.Background(), "bad", func(context.Context) (any, error) { return "ok", nil })
-	if err != nil || v != "ok" {
-		t.Fatalf("retry after failed flight: %v, %v", v, err)
-	}
-}
-
-func TestBatcherCloseDrains(t *testing.T) {
-	b := NewBatcher(2)
-	gate := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(context.Background(), "slow", func(context.Context) (any, error) {
-			<-gate
-			return nil, nil
-		})
-		done <- err
-	}()
-	for b.Stats().InFlight == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	closed := make(chan struct{})
-	go func() {
-		b.Close()
-		close(closed)
-	}()
-	// New work is rejected while the old flight drains.
-	for {
-		_, _, err := b.Submit(context.Background(), "new", func(context.Context) (any, error) { return nil, nil })
-		if errors.Is(err, ErrDraining) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a flight was still in progress")
-	default:
-	}
-	close(gate)
-	<-closed
-	if err := <-done; err != nil {
-		t.Fatalf("in-flight submit during drain: %v", err)
-	}
-}
-
-func TestBatcherSubmitContextCancelled(t *testing.T) {
-	b := NewBatcher(1)
-	defer b.Close()
-	gate := make(chan struct{})
-	defer close(gate)
-	go b.Submit(context.Background(), "hold", func(context.Context) (any, error) { <-gate; return nil, nil })
-	for b.Stats().InFlight == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := b.Submit(ctx, "hold", func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestBatcherPoolBound pins the worker bound: distinct keys never run
-// more computations at once than the pool has workers, and the pool is
-// used to its full width.
-func TestBatcherPoolBound(t *testing.T) {
-	const workers, keys = 2, 16
-	b := NewBatcher(workers)
-	defer b.Close()
-	var running, peak atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < keys; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := b.Submit(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) (any, error) {
-				n := running.Add(1)
-				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-				}
-				started <- struct{}{}
-				<-release
-				running.Add(-1)
-				return i, nil
-			}); err != nil {
-				t.Errorf("submit k%d: %v", i, err)
-			}
-		}(i)
-	}
-	// Fill the pool, then free one slot per further start.
-	for i := 0; i < workers; i++ {
-		<-started
-	}
-	for i := workers; i < keys; i++ {
-		release <- struct{}{}
-		<-started
-	}
-	for i := 0; i < workers; i++ {
-		release <- struct{}{}
-	}
-	wg.Wait()
-	if p := peak.Load(); p != workers {
-		t.Fatalf("peak concurrent computations = %d, want %d", p, workers)
-	}
-	if st := b.Stats(); st.Computations != keys || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want %d computations, 0 in flight", st, keys)
-	}
-}
-
-// TestBatcherAbandonDuringDrain pins abandonment while Close waits: the
-// only waiter giving up cancels the flight, which lets Close return.
-func TestBatcherAbandonDuringDrain(t *testing.T) {
-	b := NewBatcher(1)
-	started := make(chan struct{})
-	cancelled := make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	res := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(ctx, "slow", func(fctx context.Context) (any, error) {
-			close(started)
-			<-fctx.Done()
-			close(cancelled)
-			return nil, fctx.Err()
-		})
-		res <- err
-	}()
-	<-started
-	closed := make(chan struct{})
-	go func() {
-		b.Close()
-		close(closed)
-	}()
-	// Drain has begun once the same key is refused with ErrDraining. The
-	// probe's context is already dead so it never waits on the flight.
-	dead, kill := context.WithCancel(context.Background())
-	kill()
-	for {
-		_, _, err := b.Submit(dead, "slow", func(context.Context) (any, error) { return nil, nil })
-		if errors.Is(err, ErrDraining) {
-			break
-		}
-	}
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a flight was still in progress")
-	default:
-	}
-	cancel()
-	if err := <-res; !errors.Is(err, context.Canceled) {
-		t.Fatalf("submit err = %v, want context.Canceled", err)
-	}
-	<-cancelled
-	<-closed
-	if st := b.Stats(); st.Abandoned != 1 || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want 1 abandoned, 0 in flight", st)
-	}
-}
-
 // --- Service over HTTP ------------------------------------------------------
 
+// TestServiceForecastMatchesDirectReplay pins the served-forecast
+// contract for every (site, N) of the quick universe: the forecast over
+// HTTP is bit-identical to a raw core.Predictor replayed directly over
+// the dataset (the pyramid-derived store view equals direct slotting,
+// and the guard is invisible on clean traces).
 func TestServiceForecastMatchesDirectReplay(t *testing.T) {
 	svc := newTestService(t)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
 	cfg := svc.Config()
-	const n, horizon = 48, 6
-	params := core.Params{Alpha: 0.7, D: 10, K: 2}
-	var got ForecastResult
-	url := fmt.Sprintf("%s/v1/forecast?site=%s&n=%d&horizon=%d&alpha=%g&d=%d&k=%d",
-		ts.URL, cfg.Sites[0], n, horizon, params.Alpha, params.D, params.K)
-	if code := getJSON(t, url, &got); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-
-	// Reference: replay directly from the dataset (the pyramid-derived
-	// store view is bit-identical to direct slotting, so the forecasts
-	// must match exactly).
-	site, err := dataset.SiteByName(cfg.Sites[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := dataset.GenerateDays(site, cfg.Days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := series.Slot(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.New(n, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < view.TotalSlots(); i++ {
-		if err := p.Observe(i%n, view.Start[i]); err != nil {
+	for _, name := range cfg.Sites {
+		site, err := dataset.SiteByName(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := p.Forecast(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Watts) != horizon {
-		t.Fatalf("watts len = %d, want %d", len(got.Watts), horizon)
-	}
-	for i := range want {
-		if got.Watts[i] != want[i] {
-			t.Fatalf("watt %d: served %v, direct %v", i, got.Watts[i], want[i])
+		series, err := dataset.GenerateDays(site, cfg.Days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range cfg.Ns {
+			horizon := min(6, n)
+			params := core.Params{Alpha: 0.7, D: 10, K: 2}
+			var got ForecastResult
+			url := fmt.Sprintf("%s/v1/forecast?site=%s&n=%d&horizon=%d&alpha=%g&d=%d&k=%d",
+				ts.URL, name, n, horizon, params.Alpha, params.D, params.K)
+			if code := getJSON(t, url, &got); code != http.StatusOK {
+				t.Fatalf("%s n=%d: status = %d", name, n, code)
+			}
+			view, err := series.Slot(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := core.New(n, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < view.TotalSlots(); i++ {
+				if err := p.Observe(i%n, view.Start[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := p.Forecast(horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Watts) != horizon {
+				t.Fatalf("%s n=%d: watts len = %d, want %d", name, n, len(got.Watts), horizon)
+			}
+			for i := range want {
+				if math.Float64bits(got.Watts[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d watt %d: served %v, direct %v", name, n, i, got.Watts[i], want[i])
+				}
+			}
+			if got.SlotMinutes != view.SlotMinutes || got.HistoryDays != p.HistoryDays() || got.Degraded {
+				t.Fatalf("%s n=%d: metadata mismatch: %+v", name, n, got)
+			}
 		}
 	}
-	if got.SlotMinutes != view.SlotMinutes || got.HistoryDays != p.HistoryDays() {
-		t.Fatalf("metadata mismatch: %+v", got)
+}
+
+// TestServiceGuardConfigKeysGuard: two services with different guard
+// configs over one shared store replay distinct guards for one tuple,
+// each under its own config; a third service with the first's config
+// shares the first's guard.
+func TestServiceGuardConfigKeysGuard(t *testing.T) {
+	exp := testConfig()
+	strict := guard.DefaultConfig()
+	strict.MinQuality = 0.95
+	services := make([]*Service, 3)
+	for i, gc := range []guard.Config{{}, strict, guard.DefaultConfig()} {
+		svc, err := New(Config{Exp: exp, Guard: gc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		services[i] = svc
+	}
+	ctx := context.Background()
+	const site, n = "SPMD", 48
+	params := experiments.GuidelineParams(n)
+	guards := make([]*guard.Guard, len(services))
+	for i, svc := range services {
+		if _, err := svc.Forecast(ctx, site, n, 1, params); err != nil {
+			t.Fatal(err)
+		}
+		g, err := exp.Store.Guard(ctx, site, exp.Days, n, params, svc.guard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		guards[i] = g
+	}
+	if guards[0] == guards[1] {
+		t.Fatal("services with different guard configs share one guard")
+	}
+	if guards[0] != guards[2] {
+		t.Fatal("services with equal guard configs replayed two guards")
+	}
+	if got := guards[1].Config().MinQuality; got != strict.MinQuality {
+		t.Fatalf("strict service's guard has MinQuality %v", got)
+	}
+}
+
+// BenchmarkServiceForecastWarm is the per-request service cost of a warm
+// in-process forecast: validation, breaker, store lookups, the guard's
+// non-mutating Forecast and the stale-cache write, with no HTTP.
+func BenchmarkServiceForecastWarm(b *testing.B) {
+	svc, err := New(Config{Exp: testConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	params := experiments.GuidelineParams(48)
+	if _, err := svc.Forecast(ctx, "SPMD", 48, 4, params); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := svc.Forecast(ctx, "SPMD", 48, 4, params); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -500,9 +302,8 @@ func TestServiceConcurrentTupleLoad(t *testing.T) {
 	if st.Grid.Misses != 1 {
 		t.Fatalf("grid misses = %d, want exactly 1 (stats %+v)", st.Grid.Misses, st)
 	}
-	bs := svc.Batcher().Stats()
-	if bs.Computations+bs.Coalesced != clients {
-		t.Fatalf("batcher admissions = %d+%d, want %d", bs.Computations, bs.Coalesced, clients)
+	if st.Grid.Hits+st.Grid.Misses != clients {
+		t.Fatalf("grid lookups = %d+%d, want %d", st.Grid.Hits, st.Grid.Misses, clients)
 	}
 	for i := 1; i < clients; i++ {
 		if results[i].Best != results[0].Best {
@@ -658,8 +459,14 @@ func TestServiceGracefulDrain(t *testing.T) {
 		t.Fatalf("stats during drain = %d", code)
 	}
 	svc.Close()
-	if _, _, err := svc.Batcher().Submit(context.Background(), "x", func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
-		t.Fatalf("submit after close: %v", err)
+	if f := svc.Store().Flights(); f.InFlight != 0 {
+		t.Fatalf("in flight after Close = %d", f.InFlight)
+	}
+	if _, err := svc.Forecast(context.Background(), cfg.Sites[0], 24, 1, experiments.GuidelineParams(24)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("forecast after close: %v", err)
+	}
+	if _, err := svc.Grid(context.Background(), cfg.Sites[0], 24, cfg.Space, 0); !errors.Is(err, ErrDraining) {
+		t.Fatalf("grid after close: %v", err)
 	}
 }
 
