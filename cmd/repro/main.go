@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	repro            # full paper scale (about 2 s on 2 vCPUs)
+//	repro            # full paper scale (about 1.2 s on 2 vCPUs)
 //	repro -quick     # reduced scale, well under a second
 package main
 
@@ -22,6 +22,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"solarpred/internal/core"
@@ -33,11 +34,11 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "use the reduced configuration")
-	workers := flag.Int("workers", 0, "concurrent (site, N) evaluations per driver (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent (site, N) evaluations within each driver, the drivers themselves overlapping (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	// Stdout stays unbuffered so each section appears as soon as it is
-	// computed.
+	// Stdout stays unbuffered so each section appears as soon as its
+	// result is ready.
 	if err := run(os.Stdout, newConfig(*quick, *workers), *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
@@ -58,14 +59,85 @@ func newConfig(quick bool, workers int) experiments.Config {
 }
 
 func section(w io.Writer, name string) func() {
-	start := time.Now()
+	t0 := time.Now()
 	fmt.Fprintf(w, "==== %s ====\n\n", name)
-	return func() { fmt.Fprintf(w, "(%.1fs)\n\n", time.Since(start).Seconds()) }
+	return func() { fmt.Fprintf(w, "(%.1fs)\n\n", time.Since(t0).Seconds()) }
 }
 
+// future is the result of a computation started by start.
+type future[T any] struct {
+	done chan struct{}
+	val  T
+	err  error
+}
+
+// start runs fn on its own goroutine, counted in wg, and returns at once.
+func start[T any](wg *sync.WaitGroup, fn func() (T, error)) *future[T] {
+	f := &future[T]{done: make(chan struct{})}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(f.done)
+		f.val, f.err = fn()
+	}()
+	return f
+}
+
+// get waits for fn's result.
+func (f *future[T]) get() (T, error) {
+	<-f.done
+	return f.val, f.err
+}
+
+// run writes the whole reproduction to w. Once the header line is out,
+// every driver starts on its own goroutine, all sharing cfg.Store, whose
+// single flight computes each tuple once however the drivers interleave;
+// the sections are then printed in order, each as soon as its result is
+// ready, so a section's "(N.Ns)" line times the wait for its result, not
+// its compute time. run returns only after every driver it started has
+// finished, and on failure returns the error of the first failing
+// section in print order.
 func run(w io.Writer, cfg experiments.Config, quick bool) error {
 	fmt.Fprintf(w, "solarpred paper reproduction — sites %v, %d days, warm-up %d\n\n",
 		cfg.Sites, cfg.Days, cfg.WarmupDays)
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	n48 := 48
+	guideline := experiments.GuidelineParams(n48)
+	vCfg, viCfg, oneSite := cfg, cfg, cfg
+	if !quick {
+		subset := []string{"SPMD", "ECSU", "ORNL", "HSU"} // the paper's Table V subset
+		vCfg.Sites, viCfg.Sites = subset, subset
+		viCfg.Ns = []int{96, 48, 24}
+	}
+	oneSite.Sites = cfg.Sites[:1]
+	fig2F := start(&wg, func() (*experiments.Fig2Data, error) { return experiments.Fig2(cfg, cfg.Sites[0], 6) })
+	rows2F := start(&wg, func() ([]experiments.TableIIRow, error) { return experiments.TableII(cfg, n48) })
+	rows3F := start(&wg, func() ([]experiments.TableIIIRow, error) { return experiments.TableIII(cfg) })
+	fig7F := start(&wg, func() ([]experiments.Fig7Series, error) { return experiments.Fig7(cfg, n48) })
+	rows5F := start(&wg, func() ([]experiments.TableVRow, error) { return experiments.TableV(vCfg) })
+	guidelinesF := start(&wg, func() ([]experiments.Guideline, error) { return experiments.Guidelines(cfg, n48) })
+	baselinesF := start(&wg, func() ([]experiments.BaselineRow, error) {
+		return experiments.Baselines(cfg, n48, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
+	})
+	oneSiteF := start(&wg, func() ([]experiments.BaselineRow, error) {
+		return experiments.Baselines(oneSite, n48, []float64{0.1, 0.3, 0.5})
+	})
+	rows6F := start(&wg, func() ([]experiments.TableVIRow, error) { return experiments.TableVI(viCfg) })
+	dayTypeF := make([]*future[*experiments.DayTypeError], len(cfg.Sites))
+	for i, site := range cfg.Sites {
+		dayTypeF[i] = start(&wg, func() (*experiments.DayTypeError, error) {
+			return experiments.ErrorByDayType(cfg, site, n48, guideline)
+		})
+	}
+	robustF := start(&wg, func() ([]experiments.RobustnessRow, error) { return experiments.Robustness(cfg, n48) })
+	seasonalF := make([]*future[[]experiments.MonthError], len(cfg.Sites))
+	for i, site := range cfg.Sites {
+		seasonalF[i] = start(&wg, func() ([]experiments.MonthError, error) {
+			return experiments.Seasonal(cfg, site, n48, guideline)
+		})
+	}
 
 	// Table I.
 	done := section(w, "Table I: data sets")
@@ -78,7 +150,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 
 	// Fig. 2.
 	done = section(w, "Fig. 2: six days of solar energy (SPMD-like trace)")
-	fig2, err := experiments.Fig2(cfg, cfg.Sites[0], 6)
+	fig2, err := fig2F.get()
 	if err != nil {
 		return err
 	}
@@ -88,9 +160,8 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 	done()
 
 	// Table II.
-	n48 := 48
 	done = section(w, "Table II: error-function comparison at N=48")
-	rows2, err := experiments.TableII(cfg, n48)
+	rows2, err := rows2F.get()
 	if err != nil {
 		return err
 	}
@@ -107,7 +178,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 
 	// Table III.
 	done = section(w, "Table III: prediction results at different N")
-	rows3, err := experiments.TableIII(cfg)
+	rows3, err := rows3F.get()
 	if err != nil {
 		return err
 	}
@@ -160,7 +231,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 
 	// Fig. 7.
 	done = section(w, "Fig. 7: MAPE vs D at N=48")
-	series, err := experiments.Fig7(cfg, n48)
+	series, err := fig7F.get()
 	if err != nil {
 		return err
 	}
@@ -175,11 +246,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 
 	// Table V.
 	done = section(w, "Table V: dynamic parameter selection")
-	vCfg := cfg
-	if !quick {
-		vCfg.Sites = []string{"SPMD", "ECSU", "ORNL", "HSU"} // the paper's Table V subset
-	}
-	rows5, err := experiments.TableV(vCfg)
+	rows5, err := rows5F.get()
 	if err != nil {
 		return err
 	}
@@ -199,7 +266,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 
 	// Guidelines and baselines (Section IV-B prose, plus extension).
 	done = section(w, "Guidelines and baselines at N=48")
-	gs, err := experiments.Guidelines(cfg, n48)
+	gs, err := guidelinesF.get()
 	if err != nil {
 		return err
 	}
@@ -211,7 +278,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 			fmt.Sprintf("%+.2fpp", g.Penalty*100))
 	}
 	fmt.Fprintln(w, tg.String())
-	bs, err := experiments.Baselines(cfg, n48, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
+	bs, err := baselinesF.get()
 	if err != nil {
 		return err
 	}
@@ -249,10 +316,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 	if err != nil {
 		return err
 	}
-	bsOne, err := experiments.Baselines(experiments.Config{
-		Sites: cfg.Sites[:1], Days: cfg.Days, WarmupDays: cfg.WarmupDays,
-		Ns: cfg.Ns, Space: cfg.Space, Workers: cfg.Workers, Store: cfg.Store,
-	}, n48, []float64{0.1, 0.3, 0.5})
+	bsOne, err := oneSiteF.get()
 	if err != nil {
 		return err
 	}
@@ -272,12 +336,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 
 	// Table VI: realizable online parameter selection.
 	done = section(w, "Table VI (extension): realizable online parameter selection")
-	viCfg := cfg
-	if !quick {
-		viCfg.Sites = []string{"SPMD", "ECSU", "ORNL", "HSU"}
-		viCfg.Ns = []int{96, 48, 24}
-	}
-	rows6, err := experiments.TableVI(viCfg)
+	rows6, err := rows6F.get()
 	if err != nil {
 		return err
 	}
@@ -298,8 +357,8 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 	// Error by weather type.
 	done = section(w, "Extension: MAPE by realised weather type at N=48")
 	tw := report.NewTable("", "Data set", "clear", "partly", "overcast", "mixed")
-	for _, site := range cfg.Sites {
-		res, err := experiments.ErrorByDayType(cfg, site, n48, experiments.GuidelineParams(n48))
+	for i, site := range cfg.Sites {
+		res, err := dayTypeF[i].get()
 		if err != nil {
 			return err
 		}
@@ -312,7 +371,7 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 
 	// Sensor-fault robustness.
 	done = section(w, "Extension: sensor-fault robustness at N=48 (guideline parameters)")
-	rrows, err := experiments.Robustness(cfg, n48)
+	rrows, err := robustF.get()
 	if err != nil {
 		return err
 	}
@@ -330,8 +389,8 @@ func run(w io.Writer, cfg experiments.Config, quick bool) error {
 	done = section(w, "Extension: month-by-month MAPE at N=48 (guideline parameters)")
 	tsn := report.NewTable("", append([]string{"Data set"}, "Jan", "Feb", "Mar", "Apr", "May", "Jun",
 		"Jul", "Aug", "Sep", "Oct", "Nov", "Dec")...)
-	for _, site := range cfg.Sites {
-		months, err := experiments.Seasonal(cfg, site, n48, experiments.GuidelineParams(n48))
+	for i, site := range cfg.Sites {
+		months, err := seasonalF[i].get()
 		if err != nil {
 			return err
 		}

@@ -73,11 +73,11 @@ func main() {
 	disc, _ := adaptive.NewDiscounted(len(cands), 0.998)
 	win, _ := adaptive.NewSlidingWindow(len(cands), 2*n)
 	hedge, _ := adaptive.NewHedge(len(cands), 0.2)
-	for _, sel := range []adaptive.Selector{ftl, disc, win, hedge} {
-		r, err := eval.AdaptiveEval(d, cands, sel, optimize.RefSlotMean)
-		if err != nil {
-			log.Fatal(err)
-		}
+	results, err := eval.AdaptiveEval(d, cands, optimize.RefSlotMean, ftl, disc, win, hedge)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range results {
 		fmt.Printf("%-34s %7.2f%% online only (%d switches, ends at a=%.1f K=%d)\n",
 			"self-tuning: "+r.Policy, r.Report.MAPE*100, r.SwitchCount,
 			r.FinalCandidate.Alpha, r.FinalCandidate.K)

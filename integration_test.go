@@ -87,15 +87,15 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptiveRes, err := eval.AdaptiveEval(res.Best.Params.D, cands, sel, optimize.RefSlotMean)
+	adaptiveRes, err := eval.AdaptiveEval(res.Best.Params.D, cands, optimize.RefSlotMean, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adaptiveRes.Report.MAPE < dyn.BothMAPE-1e-9 {
+	if adaptiveRes[0].Report.MAPE < dyn.BothMAPE-1e-9 {
 		t.Fatal("realizable policy beat the clairvoyant oracle")
 	}
-	if adaptiveRes.Report.MAPE > static*1.3 {
-		t.Fatalf("realizable policy %.4f far above static %.4f", adaptiveRes.Report.MAPE, static)
+	if adaptiveRes[0].Report.MAPE > static*1.3 {
+		t.Fatalf("realizable policy %.4f far above static %.4f", adaptiveRes[0].Report.MAPE, static)
 	}
 
 	// The fixed-point kernel must track the float predictor on this

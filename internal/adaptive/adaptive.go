@@ -50,7 +50,10 @@ type Selector interface {
 	// Choose returns the candidate index to use for the next prediction.
 	Choose() int
 	// Update records the per-candidate losses of the last prediction
-	// round. len(losses) equals the candidate count.
+	// round. len(losses) equals the candidate count. Update must neither
+	// modify losses nor retain it after returning: optimize.AdaptiveEval
+	// hands the same slice to every selector of a pass and refills it on
+	// the next slot.
 	Update(losses []float64)
 	// Reset returns the policy to its initial state.
 	Reset()

@@ -263,3 +263,46 @@ func TestSelectorsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectorsLeaveLossesUnchanged pins the Update contract that lets
+// optimize.AdaptiveEval share one loss vector across selectors: Update
+// neither writes to its argument nor keeps it, so a selector whose
+// buffer is scribbled over after each round chooses exactly like a twin
+// fed private copies. 600 rounds cover Hedge's re-centring (every 256
+// rounds) and several wraps of the sliding window's ring.
+func TestSelectorsLeaveLossesUnchanged(t *testing.T) {
+	const n = 7
+	build := func() []Selector {
+		f, _ := NewFollowTheLeader(n)
+		d, _ := NewDiscounted(n, 0.97)
+		s, _ := NewSlidingWindow(n, 16)
+		h, _ := NewHedge(n, 0.4)
+		return []Selector{f, d, s, h}
+	}
+	shared, private := build(), build()
+	rng := rand.New(rand.NewSource(29))
+	losses := make([]float64, n)
+	want := make([]float64, n)
+	for r := 0; r < 600; r++ {
+		for i := range losses {
+			losses[i] = 2 * rng.Float64()
+		}
+		copy(want, losses)
+		for i, sel := range shared {
+			if got, exp := sel.Choose(), private[i].Choose(); got != exp {
+				t.Fatalf("%s round %d: chose %d, twin chose %d", sel.Name(), r, got, exp)
+			}
+			sel.Update(losses)
+			for j := range losses {
+				if math.Float64bits(losses[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s round %d: Update changed losses[%d] %v -> %v",
+						sel.Name(), r, j, want[j], losses[j])
+				}
+			}
+			private[i].Update(append([]float64(nil), want...))
+		}
+		for i := range losses {
+			losses[i] = math.NaN()
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"sync"
 
 	"solarpred/internal/cloud"
 	"solarpred/internal/solar"
@@ -105,12 +106,22 @@ func Sites() []Site {
 	}
 }
 
-// SiteByName returns the built-in site with the given name.
-func SiteByName(name string) (Site, error) {
+// sitesByName indexes Sites for SiteByName, which the prediction service
+// calls on every request. It is built on first use, not at package init,
+// so programs that never look a site up do not pay for it at start-up.
+var sitesByName = sync.OnceValue(func() map[string]Site {
+	m := make(map[string]Site)
 	for _, s := range Sites() {
-		if s.Name == name {
-			return s, nil
-		}
+		m[s.Name] = s
+	}
+	return m
+})
+
+// SiteByName returns the built-in site with the given name. The result
+// is a copy: callers may change it (for example set Days) freely.
+func SiteByName(name string) (Site, error) {
+	if s, ok := sitesByName()[name]; ok {
+		return s, nil
 	}
 	return Site{}, fmt.Errorf("dataset: unknown site %q", name)
 }

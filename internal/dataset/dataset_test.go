@@ -56,6 +56,12 @@ func TestSiteByName(t *testing.T) {
 	if _, err := SiteByName("NOPE"); err == nil {
 		t.Error("unknown site should error")
 	}
+	// The lookup table is built once; what it returns must be a copy.
+	s.Days, s.Climate.SeasonalAmplitude = 7, -1
+	again, _ := SiteByName("ORNL")
+	if again != Sites()[2] {
+		t.Errorf("SiteByName(ORNL) after changing a returned copy = %+v, want %+v", again, Sites()[2])
+	}
 	names := SiteNames()
 	if len(names) != 6 || names[0] != "SPMD" || names[5] != "PFCI" {
 		t.Errorf("SiteNames = %v", names)

@@ -115,16 +115,16 @@ func tableVIRow(cfg Config, site string, n int, grid core.DynamicGrid, cands []a
 	if err != nil {
 		return row, err
 	}
-	for _, sel := range policies {
-		r, err := e.AdaptiveEval(d, cands, sel, optimize.RefSlotMean)
-		if err != nil {
-			return row, err
-		}
+	results, err := e.AdaptiveEval(d, cands, optimize.RefSlotMean, policies...)
+	if err != nil {
+		return row, err
+	}
+	for _, r := range results {
 		if r.Report.MAPE < row.Oracle-1e-9 {
 			return row, fmt.Errorf("experiments: %s N=%d: policy %s beat the oracle — bug",
-				site, n, sel.Name())
+				site, n, r.Policy)
 		}
-		row.Policies = append(row.Policies, *r)
 	}
+	row.Policies = results
 	return row, nil
 }

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+
+	"solarpred/internal/adaptive"
+	"solarpred/internal/optimize"
 )
 
 func TestTableVI(t *testing.T) {
@@ -53,5 +58,74 @@ func TestTableVIDegenerate(t *testing.T) {
 func TestPolicyNamesCount(t *testing.T) {
 	if len(PolicyNames()) != 4 {
 		t.Error("policy name list out of sync")
+	}
+}
+
+// TestAdaptiveSharedPassMatchesSinglePasses checks that scoring every
+// Table VI policy in one AdaptiveEval pass gives each policy exactly the
+// result of a pass of its own, bit for bit, over the quick universe
+// (every non-degenerate site × N of QuickConfig) and a shuffled
+// candidate grid, so no code path relies on alpha-major order.
+func TestAdaptiveSharedPassMatchesSinglePasses(t *testing.T) {
+	cfg := goldenConfig(t)
+	cands, err := adaptive.Grid(cfg.Space.Alphas, cfg.Space.Ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(cands), func(i, j int) {
+		cands[i], cands[j] = cands[j], cands[i]
+	})
+	for _, job := range crossSitesNs(cfg.Sites, cfg.Ns) {
+		if deg, err := Degenerate(job.site, job.n); err != nil || deg {
+			continue
+		}
+		e, _, err := cfg.evalFor(job.site, job.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cfg.gridFor(job.site, job.n, optimize.RefSlotMean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := res.Best.Params.D
+		shared, err := buildPolicies(len(cands), job.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.AdaptiveEval(d, cands, optimize.RefSlotMean, shared...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := buildPolicies(len(cands), job.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sel := range single {
+			want, err := e.AdaptiveEval(d, cands, optimize.RefSlotMean, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, w := got[i], want[0]
+			label := job.site + "/" + sel.Name()
+			if g.Policy != w.Policy || g.SwitchCount != w.SwitchCount || g.FinalCandidate != w.FinalCandidate {
+				t.Errorf("N=%d %s: shared %+v, single %+v", job.n, label, g, w)
+			}
+			gr, wr := g.Report, w.Report
+			for _, f := range []struct {
+				name string
+				g, w float64
+			}{
+				{"MAPE", gr.MAPE, wr.MAPE}, {"RMSE", gr.RMSE, wr.RMSE}, {"MAE", gr.MAE, wr.MAE},
+				{"MBE", gr.MBE, wr.MBE}, {"MaxAbsErr", gr.MaxAbsErr, wr.MaxAbsErr},
+			} {
+				if math.Float64bits(f.g) != math.Float64bits(f.w) {
+					t.Errorf("N=%d %s: %s shared %v, single %v", job.n, label, f.name, f.g, f.w)
+				}
+			}
+			if gr.Samples != wr.Samples || gr.OutsideROI != wr.OutsideROI {
+				t.Errorf("N=%d %s: counts shared %d/%d, single %d/%d", job.n, label,
+					gr.Samples, gr.OutsideROI, wr.Samples, wr.OutsideROI)
+			}
+		}
 	}
 }

@@ -20,8 +20,8 @@ type AdaptiveResult struct {
 	FinalCandidate adaptive.Candidate
 }
 
-// AdaptiveEval runs a realizable dynamic-parameter policy over the trace
-// at history depth d: at every scored slot the policy picks a candidate
+// AdaptiveEval runs realizable dynamic-parameter policies over the trace
+// at history depth d: at every scored slot each policy picks a candidate
 // (α, K) BEFORE the truth arrives, the prediction is scored like every
 // other evaluator path, and afterwards the policy observes the loss all
 // candidates would have suffered (full-information feedback — Eq. 1 is
@@ -30,9 +30,20 @@ type AdaptiveResult struct {
 // This is the realizable counterpart of DynamicEval's clairvoyant
 // oracle: same grid, same scoring, but the choice uses only past
 // information, so it could run on the node as-is.
-func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Selector, ref RefKind) (*AdaptiveResult, error) {
+//
+// The selectors share one pass: the per-slot conditioned averages and
+// the candidate loss vector are computed once and handed to every
+// selector in turn, which is why Update must neither modify nor retain
+// its losses (see adaptive.Selector). Each selector's arithmetic is that
+// of a pass of its own, so its result does not depend on which other
+// selectors ride along. sels must be distinct instances; results are
+// index-aligned with them.
+func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, ref RefKind, sels ...adaptive.Selector) ([]AdaptiveResult, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("optimize: no candidates")
+	}
+	if len(sels) == 0 {
+		return nil, fmt.Errorf("optimize: no selectors")
 	}
 	maxK := 1
 	for _, c := range cands {
@@ -46,11 +57,15 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 	if err := e.checkConfig(d, maxK); err != nil {
 		return nil, err
 	}
-	acc, err := metrics.NewAccumulator(e.Threshold(ref))
-	if err != nil {
-		return nil, err
+	accs := make([]*metrics.Accumulator, len(sels))
+	for i, sel := range sels {
+		acc, err := metrics.NewAccumulator(e.Threshold(ref))
+		if err != nil {
+			return nil, err
+		}
+		accs[i] = acc
+		sel.Reset()
 	}
-	sel.Reset()
 
 	// Distinct K values so Φ is computed once per K, not per candidate;
 	// candK[i] is candidate i's index into ks, resolved once per call so
@@ -88,8 +103,12 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 	invD := 1 / float64(d)
 	thr := e.Threshold(ref)
 	first, last := e.sourceRange()
-	res := &AdaptiveResult{Policy: sel.Name()}
-	prevChoice := -1
+	res := make([]AdaptiveResult, len(sels))
+	prevChoice := make([]int, len(sels))
+	for i, sel := range sels {
+		res[i].Policy = sel.Name()
+		prevChoice[i] = -1
+	}
 	prevInROI := false
 	dayStart := first // first is day-aligned (warmupDays·N)
 	for t := first; t <= last; t++ {
@@ -108,29 +127,31 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 		for i := range ks {
 			conds[i] = mu * sc.rollPhi(i)
 		}
-		choice := sel.Choose()
-		if choice < 0 || choice >= len(cands) {
-			return nil, fmt.Errorf("optimize: policy %s chose out-of-range arm %d", sel.Name(), choice)
-		}
-		if choice != prevChoice {
-			if prevChoice >= 0 {
-				res.SwitchCount++
-			}
-			prevChoice = choice
-		}
-		pred := core.Combine(cands[choice].Alpha, pers, conds[candK[choice]])
-		acc.Add(pred, refVal)
-
 		// Full-information feedback for every candidate.
 		for i, c := range cands {
 			p := core.Combine(c.Alpha, pers, conds[candK[i]])
 			losses[i] = adaptive.LossScale(math.Abs(refVal-p), refVal, lossFloor)
 		}
-		sel.Update(losses)
+		for s, sel := range sels {
+			choice := sel.Choose()
+			if choice < 0 || choice >= len(cands) {
+				return nil, fmt.Errorf("optimize: policy %s chose out-of-range arm %d", sel.Name(), choice)
+			}
+			if choice != prevChoice[s] {
+				if prevChoice[s] >= 0 {
+					res[s].SwitchCount++
+				}
+				prevChoice[s] = choice
+			}
+			accs[s].Add(core.Combine(cands[choice].Alpha, pers, conds[candK[choice]]), refVal)
+			sel.Update(losses)
+		}
 	}
-	res.Report = acc.Snapshot()
-	if prevChoice >= 0 {
-		res.FinalCandidate = cands[prevChoice]
+	for s := range sels {
+		res[s].Report = accs[s].Snapshot()
+		if prevChoice[s] >= 0 {
+			res[s].FinalCandidate = cands[prevChoice[s]]
+		}
 	}
 	return res, nil
 }

@@ -34,13 +34,16 @@ func TestAdaptiveEvalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AdaptiveEval(10, nil, sel, RefSlotMean); err == nil {
+	if _, err := e.AdaptiveEval(10, nil, RefSlotMean, sel); err == nil {
 		t.Error("empty candidates accepted")
 	}
-	if _, err := e.AdaptiveEval(10, []adaptive.Candidate{{Alpha: 2, K: 1}}, sel, RefSlotMean); err == nil {
+	if _, err := e.AdaptiveEval(10, cands, RefSlotMean); err == nil {
+		t.Error("empty selector list accepted")
+	}
+	if _, err := e.AdaptiveEval(10, []adaptive.Candidate{{Alpha: 2, K: 1}}, RefSlotMean, sel); err == nil {
 		t.Error("bad candidate accepted")
 	}
-	if _, err := e.AdaptiveEval(13, cands, sel, RefSlotMean); err == nil {
+	if _, err := e.AdaptiveEval(13, cands, RefSlotMean, sel); err == nil {
 		t.Error("D beyond warm-up accepted")
 	}
 }
@@ -54,18 +57,17 @@ func TestAdaptivePoliciesLandBetweenStaticAndOracle(t *testing.T) {
 	}
 	static := res.Best.Report.MAPE
 
-	mk := func() []adaptive.Selector {
-		f, _ := adaptive.NewFollowTheLeader(len(cands))
-		d, _ := adaptive.NewDiscounted(len(cands), 0.995)
-		w, _ := adaptive.NewSlidingWindow(len(cands), 3*24)
-		h, _ := adaptive.NewHedge(len(cands), 0.2)
-		return []adaptive.Selector{f, d, w, h}
+	f, _ := adaptive.NewFollowTheLeader(len(cands))
+	d, _ := adaptive.NewDiscounted(len(cands), 0.995)
+	w, _ := adaptive.NewSlidingWindow(len(cands), 3*24)
+	h, _ := adaptive.NewHedge(len(cands), 0.2)
+	sels := []adaptive.Selector{f, d, w, h}
+	results, err := e.AdaptiveEval(10, cands, RefSlotMean, sels...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, sel := range mk() {
-		r, err := e.AdaptiveEval(10, cands, sel, RefSlotMean)
-		if err != nil {
-			t.Fatalf("%s: %v", sel.Name(), err)
-		}
+	for i, sel := range sels {
+		r := results[i]
 		// The realizable policy cannot beat the per-point oracle.
 		if r.Report.MAPE < oracle.BothMAPE-1e-9 {
 			t.Errorf("%s: %.4f beats the clairvoyant bound %.4f",
@@ -100,10 +102,11 @@ func TestAdaptiveSingleCandidateEqualsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.AdaptiveEval(10, []adaptive.Candidate{{Alpha: params.Alpha, K: params.K}}, sel, RefSlotMean)
+	rs, err := e.AdaptiveEval(10, []adaptive.Candidate{{Alpha: params.Alpha, K: params.K}}, RefSlotMean, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	direct, err := e.SweepAlpha(params.D, params.K, []float64{params.Alpha}, RefSlotMean)
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +125,11 @@ func TestAdaptiveSwitchCountReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.AdaptiveEval(10, cands, sel, RefSlotMean)
+	rs, err := e.AdaptiveEval(10, cands, RefSlotMean, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.SwitchCount <= 0 {
 		t.Error("a drift-aware policy on a variable site should switch at least once")
 	}

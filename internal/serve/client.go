@@ -69,7 +69,7 @@ func (c *Client) Forecast(ctx context.Context, site string, n, horizon int, para
 	q.Set("n", strconv.Itoa(n))
 	q.Set("horizon", strconv.Itoa(horizon))
 	if params != nil {
-		q.Set("alpha", fkey(params.Alpha))
+		q.Set("alpha", strconv.FormatFloat(params.Alpha, 'g', -1, 64))
 		q.Set("d", strconv.Itoa(params.D))
 		q.Set("k", strconv.Itoa(params.K))
 	}

@@ -41,7 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,7 +135,7 @@ type Service struct {
 	// survives Reset — it is the degraded-mode safety net, not a cache
 	// of record — and is bounded at staleCap entries.
 	staleMu sync.Mutex
-	stale   map[string]*ForecastResult
+	stale   map[staleKey]*ForecastResult
 }
 
 // New validates the configuration and builds the service.
@@ -176,7 +176,7 @@ func New(cfg Config) (*Service, error) {
 			classForecast: newBreaker(threshold, cooldown),
 			classGrid:     newBreaker(threshold, cooldown),
 		},
-		stale:   make(map[string]*ForecastResult),
+		stale:   make(map[staleKey]*ForecastResult),
 		metrics: make(map[string]*endpointMetrics),
 	}
 	for _, ep := range endpointNames {
@@ -221,9 +221,6 @@ func IsBadRequest(err error) bool {
 	var b badRequestError
 	return errors.As(err, &b) || errors.Is(err, timeseries.ErrSlotting)
 }
-
-// fkey formats a float exactly for a stale-cache key.
-func fkey(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // checkSiteN validates the request's (site, n) against the dataset.
 func (s *Service) checkSiteN(site string, n int) error {
@@ -337,14 +334,24 @@ func (s *Service) forecast(ctx context.Context, site string, n, horizon int, par
 	}, nil
 }
 
+// staleKey identifies a forecast tuple for the stale cache. α is keyed
+// by its bits, so two requests share an entry exactly when their
+// parameters are bit-identical.
+type staleKey struct {
+	site             string
+	days, n, horizon int
+	alpha            uint64
+	d, k             int
+}
+
 // forecastKey identifies a forecast tuple for the stale cache.
-func (s *Service) forecastKey(site string, n, horizon int, params core.Params) string {
-	return fmt.Sprintf("f|%s|%d|%d|%d|a%s,d%d,k%d",
-		site, s.cfg.Days, n, horizon, fkey(params.Alpha), params.D, params.K)
+func (s *Service) forecastKey(site string, n, horizon int, params core.Params) staleKey {
+	return staleKey{site: site, days: s.cfg.Days, n: n, horizon: horizon,
+		alpha: math.Float64bits(params.Alpha), d: params.D, k: params.K}
 }
 
 // staleFor returns a degraded copy of the tuple's last-good forecast.
-func (s *Service) staleFor(key string) *ForecastResult {
+func (s *Service) staleFor(key staleKey) *ForecastResult {
 	s.staleMu.Lock()
 	last, ok := s.stale[key]
 	s.staleMu.Unlock()
@@ -361,7 +368,7 @@ func (s *Service) staleFor(key string) *ForecastResult {
 // fallback. Degraded results are not kept — the fallback must be the
 // last *healthy* answer. The cache is bounded: at capacity an arbitrary
 // entry is dropped (any last-good answer beats refusing service).
-func (s *Service) keepStale(key string, res *ForecastResult) {
+func (s *Service) keepStale(key staleKey, res *ForecastResult) {
 	if res.Degraded {
 		return
 	}
