@@ -31,10 +31,9 @@ import (
 //     Σ|err|/ref for every α at once;
 //   - max |err(α)| uses the convexity of |c + m·α|: its maximum over
 //     any α interval sits at an endpoint, so a prediction whose two
-//     grid-endpoint errors cannot beat the second-smallest current per-α
-//     maximum, and whose error at the smallest maximum's α cannot beat
-//     that maximum, is skipped entirely (the common case); the rare
-//     survivors update every α directly.
+//     grid-endpoint errors cannot beat the smallest current per-α
+//     maximum is skipped entirely (the common case); the rare survivors
+//     update every α directly.
 //
 // The affine model means AlphaSweep does not apply the zero clamp of
 // core.Combine. Callers must therefore pass pers, cond ≥ 0 — true for
@@ -64,11 +63,10 @@ type AlphaSweep struct {
 	n                               int
 	sumC, sumM, sumCC, sumCM, sumMM float64
 
-	// Per-sorted-α running maximum of |err|, its floor (the minimum over
-	// alphas) with the α it belongs to, and the smallest maximum at any
-	// other α, used to prune the maximum-tracking scan.
-	maxAbs                    []float64
-	floor, floorAlpha, floor2 float64
+	// Per-sorted-α running maximum of |err| and its floor (the minimum
+	// over alphas), used to prune the maximum-tracking scan.
+	maxAbs   []float64
+	maxFloor float64
 
 	totalSeen  int
 	outsideROI int
@@ -150,7 +148,7 @@ func (a *AlphaSweep) Reset() {
 	a.baseAbs, a.baseWAbs = 0, 0
 	a.n, a.totalSeen, a.outsideROI = 0, 0, 0
 	a.sumC, a.sumM, a.sumCC, a.sumCM, a.sumMM = 0, 0, 0, 0, 0
-	a.floor, a.floorAlpha, a.floor2 = 0, a.lo, 0
+	a.maxFloor = 0
 }
 
 // floatsEqual reports element-wise equality (no NaN handling needed:
@@ -222,18 +220,12 @@ func (a *AlphaSweep) AddInROI(pers, cond, ref, invRef float64) {
 	a.sumCC += c * c
 	a.sumCM += c * m
 	a.sumMM += m * m
-	// |c + m·α| is convex (and its rounded value monotone on each side of
-	// the kink), so its maximum over the sorted grid is attained at an
-	// endpoint: when neither endpoint beats the floor, no maxAbs entry can
-	// change. Otherwise, when neither beats floor2, only the floor's entry
-	// can, and its α is checked directly. This second test keeps the
-	// prune firing when one α is exact and its maximum stays near 0 (a
-	// view whose slot equals the trace resolution, α = 1). The prune is
-	// exact (no bound slack), so maxAbs is bit-identical to the unpruned
-	// scan.
-	eLo, eHi := math.Abs(c+m*a.lo), math.Abs(c+m*a.hi)
-	if (eLo > a.floor || eHi > a.floor) &&
-		(eLo > a.floor2 || eHi > a.floor2 || math.Abs(c+m*a.floorAlpha) > a.floor) {
+	// |c + m·α| is convex, so its maximum over the sorted grid is attained
+	// at an endpoint; when neither endpoint beats the smallest current
+	// per-α maximum no maxAbs entry can change and the scan is skipped.
+	// The prune is exact (no bound slack), so maxAbs is bit-identical to
+	// the unpruned scan.
+	if math.Abs(c+m*a.lo) > a.maxFloor || math.Abs(c+m*a.hi) > a.maxFloor {
 		a.updateMax(c, m)
 	}
 	if m == 0 {
@@ -256,21 +248,18 @@ func (a *AlphaSweep) AddInROI(pers, cond, ref, invRef float64) {
 }
 
 // updateMax folds one prediction into the per-α maxima and refreshes
-// the pruning floor, its α and the second-smallest maximum.
+// the pruning floor.
 func (a *AlphaSweep) updateMax(c, m float64) {
-	floor, floor2, floorAlpha := math.Inf(1), math.Inf(1), a.lo
+	floor := math.Inf(1)
 	for i, al := range a.sorted {
 		if v := math.Abs(c + m*al); v > a.maxAbs[i] {
 			a.maxAbs[i] = v
 		}
-		switch v := a.maxAbs[i]; {
-		case v < floor:
-			floor, floor2, floorAlpha = v, floor, al
-		case v < floor2:
-			floor2 = v
+		if a.maxAbs[i] < floor {
+			floor = a.maxAbs[i]
 		}
 	}
-	a.floor, a.floorAlpha, a.floor2 = floor, floorAlpha, floor2
+	a.maxFloor = floor
 }
 
 // AddOutsideROI records count samples excluded by the ROI filter,

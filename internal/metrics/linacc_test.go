@@ -154,55 +154,6 @@ func TestAlphaSweepMatchesAccumulatorBank(t *testing.T) {
 	}
 }
 
-// TestAlphaSweepMaxPruneExact checks the max-tracking prune bit for bit
-// against an unpruned scan on the stream a degenerate view produces: the
-// reference equals the persistence term, so α = 1 is exact up to
-// rounding and its running maximum stays near 0 while every other α's
-// grows. That is the case where the prune must skip on the second-
-// smallest maximum and check the floor's α apart. A few samples with
-// another exact α and a few unrelated ones move the floor around.
-func TestAlphaSweepMaxPruneExact(t *testing.T) {
-	grids := map[string][]float64{
-		"paper":    {0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1},
-		"unsorted": {1, 0.4, 0, 1, 0.7, 0.2},
-		"single":   {1},
-	}
-	for name, alphas := range grids {
-		t.Run(name, func(t *testing.T) {
-			sw, err := NewAlphaSweep(alphas)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]float64, len(alphas))
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 20000; i++ {
-				pers := rng.Float64() * 1200
-				cond := rng.Float64() * 1200
-				ref := pers // α = 1 exact
-				switch rng.Intn(50) {
-				case 0: // α = 0.4 exact
-					ref = 0.4*pers + 0.6*cond
-				case 1:
-					ref = rng.Float64() * 1200
-				}
-				if ref <= 0 {
-					continue
-				}
-				sw.AddInROI(pers, cond, ref, 1/ref)
-				c, m := ref-cond, cond-pers
-				for j, al := range alphas {
-					want[j] = math.Max(want[j], math.Abs(c+m*al))
-				}
-			}
-			for j, r := range sw.Reports() {
-				if math.Float64bits(r.MaxAbsErr) != math.Float64bits(want[j]) {
-					t.Errorf("α=%v: MaxAbsErr %v, unpruned scan %v", alphas[j], r.MaxAbsErr, want[j])
-				}
-			}
-		})
-	}
-}
-
 func TestAlphaSweepEmptyReports(t *testing.T) {
 	sw, err := NewAlphaSweep([]float64{0, 0.5, 1})
 	if err != nil {
